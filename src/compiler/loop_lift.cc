@@ -16,6 +16,7 @@
 #include "base/string_util.h"
 #include "compiler/morsel_exec.h"
 #include "net/thread_pool.h"
+#include "server/shard_router.h"
 #include "xml/serializer.h"
 
 namespace xrpc::compiler {
@@ -2301,62 +2302,27 @@ StatusOr<Table> LoopLiftedEvaluator::Impl::EvalExecuteAt(const Expr& e,
     trace.dst = normalize(dst);
   }
 
-  // Decompose, dispatch, merge — re-run at most once more after a
-  // StaleCatalog fence: a peer that rejected a subcall did so because the
-  // catalog changed between our decomposition and its admission check, so
-  // re-reading the shard map (Snapshot below) and re-routing yields a
-  // correct answer instead of a wrong or partial one (DESIGN.md §14).
-  for (int attempt = 0;; ++attempt) {
-    // Physical calls per iteration, after catalog decomposition (DESIGN.md
-    // §13). A plain destination stays one (group, rank 0) call — δ on
-    // dst.item in first-appearance order, as before. A logical
-    // "shard:<collection>" destination expands against the catalog: when
-    // the collection's routing parameter is bound to a singleton in this
-    // iteration, the call is PRUNED to the single shard owning that key
-    // (the semijoin case — the predicate binds the partition key);
-    // otherwise it broadcasts one call to EVERY shard and the
-    // scatter-gather merge recombines the per-shard sequences in shard
-    // order via `rank`. Calls are grouped per SHARD (not per peer): each
-    // shard-routed Bulk RPC carries an xrpc:shard scope pinning the exact
-    // fragment it reads plus the catalog version it was routed by, and a
-    // replica peer may hold several fragments of one collection — so two
-    // shards co-located on one peer need two scoped requests.
+  // Decompose, dispatch, merge. The router owns every routing decision
+  // (DESIGN.md §13) and the StaleCatalog re-route policy (§14); the loop
+  // re-runs the whole decomposition when it says so, at most once.
+  server::ShardRouter router(cfg_.catalog, updating);
+  for (;;) {
+    // Physical calls per iteration, grouped per router target in
+    // first-appearance order — one Bulk RPC request per group. A plain
+    // destination stays one (group, rank 0) call: δ on dst.item, as in
+    // Figure 2. A broadcast shard call ranks each shard's results by shard
+    // index, so the scatter-gather merge recombines them in shard order.
     struct PeerCall {
       int64_t iter;
       int rank;  ///< shard rank of this call's results within its iteration
     };
     struct Group {
-      std::string primary;                  ///< destination peer URI
-      std::vector<std::string> fallbacks;   ///< replica peers (failover)
-      std::optional<soap::XrpcRequest::ShardScope> scope;
-      /// Replica copy of an updating call (all-copies write, DESIGN.md
-      /// §17): executes and enlists in the 2PC like any group, but its
-      /// result sequences are dropped by the scatter-gather merge.
-      bool echo = false;
-      std::vector<PeerCall> calls;
+      server::ShardRouter::Target target;
+      std::vector<PeerCall> calls;  // index = iterp - 1
     };
-    std::vector<std::string> group_keys;
-    std::map<std::string, Group> groups;
-    // One Snapshot per collection per attempt: the routing below iterates
-    // a COPY of the shard map, immune to concurrent re-registration.
-    std::map<std::string, std::pair<core::ShardedCollection, int64_t>>
-        snapshots;
+    std::vector<Group> groups;
+    std::map<std::string, size_t, std::less<>> group_of;
     int max_rank = 0;
-    auto add_call = [&](const std::string& key, const std::string& primary,
-                        std::vector<std::string> fallbacks,
-                        std::optional<soap::XrpcRequest::ShardScope> scope,
-                        int64_t iter, int rank, bool echo) {
-      auto it = groups.find(key);
-      if (it == groups.end()) {
-        group_keys.push_back(key);
-        it = groups
-                 .emplace(key, Group{primary, std::move(fallbacks),
-                                     std::move(scope), echo, {}})
-                 .first;
-      }
-      it->second.calls.push_back({iter, rank});
-      if (rank > max_rank) max_rank = rank;
-    };
     for (int64_t iter : loop) {
       auto d = dst_map.find(iter);
       if (d == dst_map.end()) {
@@ -2364,115 +2330,53 @@ StatusOr<Table> LoopLiftedEvaluator::Impl::EvalExecuteAt(const Expr& e,
             "execute at: empty destination in iteration " +
             std::to_string(iter));
       }
-      std::string dest = d->second.ToString();
-      if (!core::Catalog::IsShardUri(dest)) {
-        add_call(dest, dest, {}, std::nullopt, iter, 0, /*echo=*/false);
-        continue;
-      }
-      if (cfg_.catalog == nullptr) {
-        return Status::EvalError(
-            "no peer catalog configured for destination " + dest);
-      }
-      std::string name(core::Catalog::CollectionOf(dest));
-      auto snap = snapshots.find(name);
-      if (snap == snapshots.end()) {
-        core::ShardedCollection copy;
-        int64_t version = 0;
-        if (!cfg_.catalog->Snapshot(name, &copy, &version) ||
-            copy.shards.empty()) {
-          return Status::EvalError("unknown sharded collection: " + dest);
-        }
-        snap = snapshots.emplace(name, std::make_pair(std::move(copy), version))
-                   .first;
-      }
-      const core::ShardedCollection& collection = snap->second.first;
-      const int64_t version = snap->second.second;
-      int routed = -1;
-      if (collection.route_param >= 0 &&
-          collection.route_param < static_cast<int>(arity)) {
-        const auto& pgroups = param_groups[collection.route_param];
-        auto g = pgroups.find(iter);
-        if (g != pgroups.end() && g->second.size() == 1) {
-          const Item& key =
-              params[collection.route_param].ItemAt(g->second[0]);
-          auto r =
-              cfg_.catalog->RouteKey(collection, key.Atomize().ToString());
-          // An unroutable key (e.g. outside every range) is not an error
-          // here — the call simply cannot be pruned and broadcasts.
-          if (r.ok()) routed = r.value();
-        }
-      }
-      auto shard_call = [&](const core::ShardInfo& s, int rank) {
-        soap::XrpcRequest::ShardScope scope{
-            collection.name, s.index, version,
-            cfg_.catalog->FragmentDataVersion(collection.name, s.index)};
-        const std::string key = dest + "#" + std::to_string(s.index);
-        if (updating) {
-          // All-copies write (DESIGN.md §17): every copy of a touched shard
-          // receives the same scoped calls and enlists in the 2PC, so a
-          // commit lands on primary and replicas alike. The replica groups
-          // are echoes — their results are dropped by the merge — and no
-          // copy gets fallbacks: at-most-once forbids re-issuing an update
-          // elsewhere, so a dead copy aborts the transaction instead.
-          add_call(key, s.peer_uri, {}, scope, iter, rank, /*echo=*/false);
-          for (const std::string& replica : s.replicas) {
-            add_call(key + "@" + replica, replica, {}, scope, iter, rank,
-                     /*echo=*/true);
-          }
-        } else {
-          add_call(key, s.peer_uri, s.replicas, scope, iter, rank,
-                   /*echo=*/false);
-        }
-      };
-      if (routed >= 0) {
-        shard_call(collection.shards[routed], 0);
-      } else {
-        for (const core::ShardInfo& s : collection.shards) {
-          shard_call(s, s.index);
-        }
+      XRPC_ASSIGN_OR_RETURN(
+          server::ShardRouter::Route route,
+          router.RouteCall(d->second.ToString(), arity,
+                           [&](int p) -> const Item* {
+                             auto g = param_groups[p].find(iter);
+                             return g != param_groups[p].end() &&
+                                            g->second.size() == 1
+                                        ? &params[p].ItemAt(g->second[0])
+                                        : nullptr;
+                           }));
+      for (const server::ShardRouter::Target& target : route.targets) {
+        auto [g, added] =
+            group_of.try_emplace(target.group_key(), groups.size());
+        if (added) groups.push_back({target, {}});
+        const int rank = route.Rank(target);
+        groups[g->second].calls.push_back({iter, rank});
+        max_rank = std::max(max_rank, rank);
       }
     }
 
     // Per group: the map table iter<->iterp (ρ renumbering), the per-param
-    // request tables req_p^i, and the Bulk RPC request.
-    struct GroupWork {
-      std::string peer;
-      bool echo = false;            ///< replica echo: results dropped
-      std::vector<PeerCall> calls;  // index = iterp - 1
-    };
-    // Request assembly fills one slot per destination group, so the groups
-    // are morsel work (the per-iteration body of the lifted `execute at`):
-    // every read below (params, param_groups, scope metadata) is shared
-    // immutable state, and each worker writes only its own slot. Tracing
-    // reads trace_rank through a mutating map lookup, so traced runs stay
-    // serial — identical slots, identical bytes.
-    std::vector<GroupWork> work(group_keys.size());
+    // request tables req_p^i, and the Bulk RPC request. Groups are morsel
+    // work: each worker reads shared immutable state and writes only its
+    // own slot. Tracing reads trace_rank through a mutating map lookup, so
+    // traced runs stay serial — identical slots, identical bytes.
     std::vector<server::BulkRpcChannel::Destination> destinations(
-        group_keys.size());
+        groups.size());
     if (cfg_.trace_bulk_rpc) {
       trace.peers.clear();
-      trace.peers.resize(group_keys.size());
+      trace.peers.resize(groups.size());
     }
     auto assemble = [&](size_t gi) -> Status {
-      Group& group = groups.find(group_keys[gi])->second;
-      GroupWork& w = work[gi];
-      w.peer = group.primary;
-      w.echo = group.echo;
+      Group& group = groups[gi];
       soap::XrpcRequest request;
       request.module_ns = e.name.ns_uri;
       request.method = e.name.local;
       request.location = location;
       request.arity = arity;
       request.updating = updating;
-      request.shard = group.scope;
+      request.shard = group.target.scope;
       BulkRpcTrace::PerPeer tp;
-      tp.peer = group.primary;
+      tp.peer = group.target.dest_uri;
       tp.map = algebra::LiteralTable({"iter", "iterp"}, {});
       tp.req.resize(arity, Table::IterPosItem());
-      for (const PeerCall& pc : group.calls) {
-        int64_t iter = pc.iter;
-        int64_t iterp = static_cast<int64_t>(w.calls.size()) + 1;
-        w.calls.push_back(pc);
+      for (size_t c = 0; c < group.calls.size(); ++c) {
+        const int64_t iter = group.calls[c].iter;
+        const int64_t iterp = static_cast<int64_t>(c) + 1;
         std::vector<Sequence> call;
         for (size_t p = 0; p < arity; ++p) {
           Sequence param;
@@ -2496,16 +2400,16 @@ StatusOr<Table> LoopLiftedEvaluator::Impl::EvalExecuteAt(const Expr& e,
         }
       }
       destinations[gi] = server::BulkRpcChannel::Destination{
-          group.primary, std::move(request), std::move(group.fallbacks)};
+          group.target.dest_uri, std::move(request),
+          std::move(group.target.fallback_uris)};
       if (cfg_.trace_bulk_rpc) trace.peers[gi] = std::move(tp);
       return Status::OK();
     };
     if (!cfg_.trace_bulk_rpc && exec_->parallel_capable() &&
-        group_keys.size() > 1) {
-      XRPC_RETURN_IF_ERROR(
-          exec_->Run("execute-at", group_keys.size(), assemble));
+        groups.size() > 1) {
+      XRPC_RETURN_IF_ERROR(exec_->Run("execute-at", groups.size(), assemble));
     } else {
-      for (size_t gi = 0; gi < group_keys.size(); ++gi) {
+      for (size_t gi = 0; gi < groups.size(); ++gi) {
         XRPC_RETURN_IF_ERROR(assemble(gi));
       }
     }
@@ -2513,23 +2417,12 @@ StatusOr<Table> LoopLiftedEvaluator::Impl::EvalExecuteAt(const Expr& e,
     // Dispatch all Bulk RPC requests (possibly in parallel).
     auto responses_or = cfg_.rpc->ExecuteBulkAll(std::move(destinations));
     if (!responses_or.ok()) {
-      // Updating calls never re-dispatch: destinations that accepted the
-      // first attempt already staged the call into their isolation session
-      // (the deferred PUL accumulates per queryID), so a re-route would
-      // stage — and later commit — every such call twice. The fence aborts
-      // the updating query instead; nothing was applied (presumed abort
-      // expires the staged sessions) and the client may retry under a
-      // fresh queryID.
-      if (responses_or.status().code() == StatusCode::kStaleCatalog &&
-          attempt == 0 && !updating) {
-        cfg_.rpc->NoteStaleReroute();
-        continue;  // refetch the shard map and re-route, exactly once
-      }
+      if (router.Reroute(responses_or.status(), cfg_.rpc)) continue;
       return responses_or.status();
     }
     std::vector<soap::XrpcResponse> responses =
         std::move(responses_or).value();
-    if (responses.size() != work.size()) {
+    if (responses.size() != groups.size()) {
       return Status::Internal("bulk channel returned wrong response count");
     }
 
@@ -2545,22 +2438,16 @@ StatusOr<Table> LoopLiftedEvaluator::Impl::EvalExecuteAt(const Expr& e,
     // row order the serial loop produced. The earliest response's fault
     // wins, matching serial first-failure.
     std::vector<std::vector<Table>> unpacked(
-        work.size(), std::vector<Table>(static_cast<size_t>(max_rank) + 1,
-                                        Table::IterPosItem()));
+        groups.size(), std::vector<Table>(static_cast<size_t>(max_rank) + 1,
+                                          Table::IterPosItem()));
     auto unpack = [&](size_t w) -> Status {
       const soap::XrpcResponse& response = responses[w];
-      if (response.results.size() != work[w].calls.size()) {
-        return Status::SoapFault("peer " + work[w].peer + " answered " +
-                                 std::to_string(response.results.size()) +
-                                 " results for " +
-                                 std::to_string(work[w].calls.size()) +
-                                 " calls");
-      }
+      const Group& group = groups[w];
       // A replica echo of an all-copies write answered (and is enlisted in
       // the 2PC); only the primary's results feed the merge.
-      if (work[w].echo) return Status::OK();
+      if (group.target.echo) return Status::OK();
       for (size_t k = 0; k < response.results.size(); ++k) {
-        const PeerCall& pc = work[w].calls[k];
+        const PeerCall& pc = group.calls[k];
         const Sequence& seq = response.results[k];
         for (size_t i = 0; i < seq.size(); ++i) {
           unpacked[w][static_cast<size_t>(pc.rank)].AppendIPI(
@@ -2578,10 +2465,10 @@ StatusOr<Table> LoopLiftedEvaluator::Impl::EvalExecuteAt(const Expr& e,
       return Status::OK();
     };
     if (!cfg_.trace_bulk_rpc && exec_->parallel_capable() &&
-        work.size() > 1) {
-      XRPC_RETURN_IF_ERROR(exec_->Run("execute-at", work.size(), unpack));
+        groups.size() > 1) {
+      XRPC_RETURN_IF_ERROR(exec_->Run("execute-at", groups.size(), unpack));
     } else {
-      for (size_t w = 0; w < work.size(); ++w) {
+      for (size_t w = 0; w < groups.size(); ++w) {
         XRPC_RETURN_IF_ERROR(unpack(w));
       }
     }

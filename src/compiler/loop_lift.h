@@ -49,9 +49,8 @@ struct LoopLiftConfig {
   /// Cooperative cancellation token polled at every algebra-expression
   /// dispatch; a tripped token aborts evaluation with its status.
   const CancellationToken* cancel = nullptr;
-  /// Peer catalog consulted to decompose logical "shard:<collection>"
-  /// destinations into per-shard Bulk RPCs (DESIGN.md §13). Null disables
-  /// decomposition; shard destinations then fail with an eval error.
+  /// Peer catalog the shard router decomposes "shard:<collection>"
+  /// destinations against (DESIGN.md §13); null fails them.
   const core::Catalog* catalog = nullptr;
   /// Morsel-parallel execution (DESIGN.md §15). Per-iteration-independent
   /// operators split their input into iter-aligned morsels and run them on

@@ -64,9 +64,10 @@ uint64_t ShardHash(std::string_view key);
 ///
 /// Thread-safety: all entry points lock. Find() returns a stable map-node
 /// pointer but a concurrent re-registration overwrites the value it points
-/// at — decomposition sites that must tolerate mid-flight catalog churn
-/// (the epoch-fencing re-route of DESIGN.md §14) use Snapshot() instead,
-/// which copies the shard map and its version atomically.
+/// at — so the one `execute at` decomposition site, server::ShardRouter,
+/// which must tolerate mid-flight catalog churn (the epoch-fencing re-route
+/// of DESIGN.md §14), uses Snapshot() instead: it copies the shard map and
+/// its version atomically.
 class Catalog {
  public:
   /// Registers (or replaces) a collection's shard map and bumps the

@@ -36,13 +36,14 @@ class BulkRpcChannel {
     std::vector<std::string> fallback_uris;
   };
 
-  /// Executes all requests; result[i] corresponds to destinations[i].
+  /// Executes all requests; result[i] answers destinations[i] with one
+  /// result sequence per call of its request.
   virtual StatusOr<std::vector<soap::XrpcResponse>> ExecuteBulkAll(
       std::vector<Destination> destinations) = 0;
 
-  /// Observability hook: the caller saw a StaleCatalog reject, refetched
-  /// the shard map, and is re-dispatching. The compiler layer cannot link
-  /// the metrics registry directly (layering), so the channel records it.
+  /// Observability hook: ShardRouter::Reroute re-dispatches after a
+  /// StaleCatalog reject. The loop-lifted evaluator sees only this channel
+  /// interface, not the client's metrics registry, so the channel records it.
   virtual void NoteStaleReroute() {}
 };
 

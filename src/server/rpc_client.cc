@@ -2,148 +2,67 @@
 
 #include <algorithm>
 #include <condition_variable>
+#include <iterator>
 #include <set>
+
+#include "server/shard_router.h"
 
 namespace xrpc::server {
 
 StatusOr<xdm::Sequence> RpcClient::Execute(const xquery::RpcCall& call) {
-  soap::XrpcRequest request;
-  request.module_ns = call.module_ns;
-  request.method = call.function.local;
-  request.location = call.module_location;
-  request.arity = call.args.size();
-  request.updating = call.updating;
-  request.calls.push_back(call.args);
-
-  // Resolve a logical "shard:<collection>" destination against the peer
-  // catalog: prune to the owning shard when the routing parameter is a
-  // singleton, otherwise broadcast one shard-scoped call per shard and
-  // concatenate the per-shard results in shard order (the interpreter-side
-  // counterpart of the compiler's scatter-gather decomposition). On a
-  // StaleCatalog reject (the catalog changed between decomposition and
-  // admission at a peer) the shard map is refetched and the whole
-  // resolution re-run exactly once.
-  if (core::Catalog::IsShardUri(call.dest_uri)) {
-    if (options_.catalog == nullptr) {
-      return Status::EvalError("no peer catalog configured for destination " +
-                               call.dest_uri);
+  ShardRouter router(options_.catalog, call.updating);
+  for (;;) {
+    XRPC_ASSIGN_OR_RETURN(
+        ShardRouter::Route route,
+        router.RouteCall(call.dest_uri, call.args.size(),
+                         [&call](int p) -> const xdm::Item* {
+                           return call.args[p].size() == 1 ? &call.args[p][0]
+                                                           : nullptr;
+                         }));
+    std::vector<Destination> destinations;
+    for (const ShardRouter::Target& target : route.targets) {
+      Destination& d = destinations.emplace_back(
+          target.dest_uri, soap::XrpcRequest(), target.fallback_uris);
+      d.request.module_ns = call.module_ns;
+      d.request.method = call.function.local;
+      d.request.location = call.module_location;
+      d.request.arity = call.args.size();
+      d.request.updating = call.updating;
+      d.request.calls.push_back(call.args);
+      d.request.shard = target.scope;
     }
-    StatusOr<xdm::Sequence> result = Status::Internal("shard routing skipped");
-    for (int attempt = 0; attempt < 2; ++attempt) {
-      core::ShardedCollection collection;
-      int64_t version = 0;
-      if (!options_.catalog->Snapshot(
-              core::Catalog::CollectionOf(call.dest_uri), &collection,
-              &version) ||
-          collection.shards.empty()) {
-        return Status::EvalError("unknown sharded collection: " +
-                                 call.dest_uri);
-      }
-      int routed = -1;
-      if (collection.route_param >= 0 &&
-          collection.route_param < static_cast<int>(call.args.size()) &&
-          call.args[collection.route_param].size() == 1) {
-        auto r = options_.catalog->RouteKey(
-            collection,
-            call.args[collection.route_param][0].Atomize().ToString());
-        if (r.ok()) routed = r.value();
-      }
-      std::vector<Destination> destinations;
-      // Replica-echo flags, parallel to `destinations`: an updating call
-      // fans out to EVERY copy of each touched shard (DESIGN.md §17) so all
-      // of them prepare/commit the same PUL through 2PC, but only the
-      // primary's result sequence contributes to the merge.
-      std::vector<bool> echo;
-      auto add_shard = [&](const core::ShardInfo& s) {
-        soap::XrpcRequest::ShardScope scope{
-            collection.name, s.index, version,
-            options_.catalog->FragmentDataVersion(collection.name, s.index)};
-        Destination d;
-        d.dest_uri = s.peer_uri;
-        d.request = request;
-        d.request.shard = scope;
-        if (request.updating) {
-          // All-copies write: no fallbacks (at-most-once forbids re-issuing
-          // an update elsewhere); a dead or lagging copy fails the call and
-          // the transaction aborts — repair, not failover, heals writes.
-          destinations.push_back(std::move(d));
-          echo.push_back(false);
-          for (const std::string& replica : s.replicas) {
-            Destination r;
-            r.dest_uri = replica;
-            r.request = request;
-            r.request.shard = scope;
-            destinations.push_back(std::move(r));
-            echo.push_back(true);
-          }
-        } else {
-          d.fallback_uris = s.replicas;
-          destinations.push_back(std::move(d));
-          echo.push_back(false);
-        }
-      };
-      if (routed >= 0) {
-        add_shard(collection.shards[routed]);
-      } else {
-        for (const core::ShardInfo& s : collection.shards) add_shard(s);
-      }
-      auto responses = ExecuteBulkAll(std::move(destinations));
-      if (!responses.ok()) {
-        result = responses.status();
-      } else {
-        xdm::Sequence merged;
-        Status merge_status = Status::OK();
-        for (size_t ri = 0; ri < responses->size(); ++ri) {
-          soap::XrpcResponse& response = (*responses)[ri];
-          if (response.results.size() != 1) {
-            merge_status = Status::SoapFault(
-                "expected 1 result sequence, got " +
-                std::to_string(response.results.size()));
-            break;
-          }
-          if (ri < echo.size() && echo[ri]) continue;  // replica echo
-          for (xdm::Item& item : response.results[0]) {
-            merged.push_back(std::move(item));
-          }
-        }
-        if (merge_status.ok()) {
-          result = std::move(merged);
-        } else {
-          result = std::move(merge_status);
-        }
-      }
-      if (result.ok() ||
-          result.status().code() != StatusCode::kStaleCatalog ||
-          attempt > 0) {
-        return result;
-      }
-      // Fenced: refetch the shard map (the Snapshot at the top of the next
-      // iteration) and re-route once. Safe even for updating calls — a
-      // StaleCatalog reject happens before the peer executes anything.
-      if (net::RpcMetrics* m = EventMetrics()) m->RecordStaleCatalogReroute();
+    auto responses = ExecuteBulkAll(std::move(destinations));
+    if (!responses.ok()) {
+      if (router.Reroute(responses.status(), this)) continue;
+      return responses.status();
     }
-    return result;
+    // Per-shard results concatenate in shard order; a replica echo of an
+    // all-copies write is enlisted in the 2PC but contributes nothing.
+    xdm::Sequence merged;
+    for (size_t i = 0; i < responses->size(); ++i) {
+      if (route.targets[i].echo) continue;
+      xdm::Sequence& seq = (*responses)[i].results[0];
+      if (merged.empty()) {
+        merged = std::move(seq);
+      } else {
+        merged.insert(merged.end(), std::make_move_iterator(seq.begin()),
+                      std::make_move_iterator(seq.end()));
+      }
+    }
+    return merged;
   }
-
-  XRPC_ASSIGN_OR_RETURN(soap::XrpcResponse response,
-                        ExecuteBulk(call.dest_uri, std::move(request)));
-  if (response.results.size() != 1) {
-    return Status::SoapFault("expected 1 result sequence, got " +
-                             std::to_string(response.results.size()));
-  }
-  return std::move(response.results[0]);
 }
 
 StatusOr<soap::XrpcResponse> RpcClient::ExecuteBulk(
     const std::string& dest_uri, soap::XrpcRequest request) {
   ExchangeStats stats;
-  auto response = ExchangeOnce(dest_uri, std::move(request), &stats);
+  auto response = ExchangeOnce(dest_uri, request, &stats);
   MergeStats(stats, stats.network_micros);
   return response;
 }
 
 StatusOr<soap::XrpcResponse> RpcClient::ExchangeWithFailover(
-    const Destination& dest, ExchangeStats* stats) const {
+    Destination& dest, ExchangeStats* stats) const {
   auto result = ExchangeOnce(dest.dest_uri, dest.request, stats);
   if (result.ok()) return result;
   net::RpcMetrics* m = EventMetrics();
@@ -292,7 +211,7 @@ StatusOr<std::vector<soap::XrpcResponse>> RpcClient::ExecuteBulkAll(
 }
 
 StatusOr<soap::XrpcResponse> RpcClient::ExchangeOnce(
-    const std::string& dest_uri, soap::XrpcRequest request,
+    const std::string& dest_uri, soap::XrpcRequest& request,
     ExchangeStats* stats) const {
   // The "simple query" shortcut (Section 3.2) elides the queryID for reads
   // that send at most one request per peer — but an updating request must

@@ -35,9 +35,10 @@ enum class IsolationLevel {
 /// modeled network time.
 ///
 /// Execute() implements xquery::RpcHandler — one call per request, the
-/// one-at-a-time mechanism. ExecuteBulk() sends a prepared Bulk RPC
-/// request; the relational engine and the dispatcher use it to amortize
-/// latency over many calls.
+/// one-at-a-time mechanism, routed by the same ShardRouter as the
+/// loop-lifted engine. ExecuteBulk() sends a prepared Bulk RPC request; the
+/// relational engine and the dispatcher use it to amortize latency over
+/// many calls.
 class RpcClient : public xquery::RpcHandler, public BulkRpcChannel {
  public:
   struct Options {
@@ -72,19 +73,19 @@ class RpcClient : public xquery::RpcHandler, public BulkRpcChannel {
     /// Clock `deadline_us` is measured against (virtual or steady);
     /// required when deadline_us > 0.
     std::function<int64_t()> now_us;
-    /// Peer catalog consulted by Execute() to resolve logical
-    /// "shard:<collection>" destinations (the one-at-a-time counterpart of
-    /// the compiler's decomposition pass, DESIGN.md §13): a call whose
-    /// routing parameter is a singleton is sent to the single owning
-    /// shard, anything else fans out to every shard peer and concatenates
-    /// the per-shard results in shard order. Null disables resolution.
+    /// Peer catalog Execute() routes logical "shard:<collection>"
+    /// destinations against (DESIGN.md §13). Null disables resolution.
     const core::Catalog* catalog = nullptr;
   };
 
   RpcClient(net::Transport* transport, Options options)
       : transport_(transport), options_(std::move(options)) {}
 
-  /// One-at-a-time RPC (xquery::RpcHandler).
+  /// One-at-a-time RPC (xquery::RpcHandler): routes the call through a
+  /// ShardRouter, dispatches its targets with ExecuteBulkAll, and
+  /// concatenates the non-echo results in target order. A plain destination
+  /// is one target; a StaleCatalog fence re-routes a read once and aborts
+  /// an update (ShardRouter::Reroute).
   StatusOr<xdm::Sequence> Execute(const xquery::RpcCall& call) override;
 
   /// Sends a Bulk RPC request to `dest_uri` and returns the full response.
@@ -144,10 +145,10 @@ class RpcClient : public xquery::RpcHandler, public BulkRpcChannel {
   };
 
   /// Performs one Bulk RPC exchange, writing its accounting into `stats`
-  /// instead of the client tallies. Thread-safe: reads only immutable
-  /// state (options_, transport_).
+  /// instead of the client tallies and stamping `request` in place (a
+  /// failover re-sends it uncopied). Thread-safe: reads only immutable state.
   StatusOr<soap::XrpcResponse> ExchangeOnce(const std::string& dest_uri,
-                                            soap::XrpcRequest request,
+                                            soap::XrpcRequest& request,
                                             ExchangeStats* stats) const;
 
   /// ExchangeOnce plus replica failover (DESIGN.md §14): on a retriable
@@ -157,7 +158,7 @@ class RpcClient : public xquery::RpcHandler, public BulkRpcChannel {
   /// candidate. Updating requests never fail over (at-most-once), and a
   /// StaleCatalog fault is returned immediately — every replica shares the
   /// catalog, so re-dialing cannot help; the caller re-routes instead.
-  StatusOr<soap::XrpcResponse> ExchangeWithFailover(const Destination& dest,
+  StatusOr<soap::XrpcResponse> ExchangeWithFailover(Destination& dest,
                                                     ExchangeStats* stats) const;
 
   /// Registry for failover / stale-catalog counters: the fan-out registry

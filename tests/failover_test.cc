@@ -5,7 +5,8 @@
 // (at-most-once); when no replica survives, the query fails with one clean
 // retriable-class fault within the deadline budget instead of hanging; and
 // a mid-flight catalog version bump fences every stamped request, causing
-// exactly one shard-map refetch + re-route.
+// exactly one shard-map refetch + re-route of a read and a clean abort of
+// an update.
 
 #include <gtest/gtest.h>
 
@@ -268,6 +269,51 @@ void RegisterUpdModule(Deployment& d) {
     ASSERT_TRUE(p->RegisterModule(kUpdModule, "u.xq").ok());
   }
   ASSERT_TRUE(d.p0->RegisterModule(kUpdModule, "u.xq").ok());
+}
+
+std::string StampCount(Deployment& d, Peer* peer) {
+  auto r = d.net->Execute(peer->name(), R"(count(doc("auctions.xml")//stamp))");
+  return r.ok() ? xdm::SequenceToString(r->result) : r.status().ToString();
+}
+
+TEST(FailoverTest, StaleEpochAbortsUpdatingBroadcastWithoutReroute) {
+  // At-most-once under the epoch fence, for both engines' routing: the
+  // catalog bumps after the first copy has accepted (and staged) its call,
+  // so a re-route would stage that call twice under one queryID. The
+  // updating query must abort with StaleCatalog instead, apply nothing,
+  // and succeed — exactly once per copy — when retried.
+  for (EngineKind engine :
+       {EngineKind::kRelational, EngineKind::kInterpreter}) {
+    Deployment d = MakeDeployment(/*replication_factor=*/2, engine);
+    RegisterUpdModule(d);
+    bool bumped = false;
+    d.net->network().set_post_hook([&](int64_t serial) {
+      if (serial < 2 || bumped) return;
+      bumped = true;
+      ShardedCollection c;
+      int64_t version = 0;
+      ASSERT_TRUE(d.net->catalog().Snapshot("auctions.xml", &c, &version));
+      ASSERT_TRUE(d.net->catalog().RegisterCollection(c).ok());
+    });
+    auto report = d.net->Execute("p0", kUpdBroadcast);
+    EXPECT_TRUE(bumped);
+    EXPECT_EQ(report.status().code(), StatusCode::kStaleCatalog)
+        << EngineKindToString(engine) << ": " << report.status();
+    EXPECT_EQ(d.net->metrics().stale_catalog_reroutes(), 0)
+        << EngineKindToString(engine);
+    for (Peer* p : d.shards) {
+      EXPECT_EQ(StampCount(d, p), "0") << EngineKindToString(engine);
+    }
+
+    d.net->network().set_post_hook(nullptr);
+    auto retry = d.net->Execute("p0", kUpdBroadcast);
+    ASSERT_TRUE(retry.ok()) << EngineKindToString(engine) << ": "
+                            << retry.status();
+    EXPECT_TRUE(retry->committed) << retry->abort_reason;
+    for (Peer* p : d.shards) {
+      EXPECT_EQ(StampCount(d, p), "1") << EngineKindToString(engine);
+    }
+  }
 }
 
 TEST(FailoverTest, UnknownCollectionFenceWinsOverDataVersionFence) {

@@ -15,7 +15,11 @@
 #  5. the same elastic smoke with --updates: a mid-schedule updating
 #     broadcast rides the all-copies 2PC, and after quiesce+repair every
 #     catalog-listed copy of every fragment must be byte-identical to the
-#     chaos-free serial state (replica-convergence, DESIGN.md §17).
+#     chaos-free serial state (replica-convergence, DESIGN.md §17);
+#  6. the membership-chaos explorer at seed 1, plain and with --updates:
+#     catalog bumps, kills and revivals fire mid-scatter and mid-2PC, so
+#     the StaleCatalog re-route policy of the shared ShardRouter is gated
+#     (reads re-route once; an updating broadcast aborts, never re-routes).
 #
 # Long soak campaigns (thousands of queries/schedules, many seeds) run the
 # same binaries by hand — see EXPERIMENTS.md.
@@ -46,5 +50,9 @@ for seed in 1 2; do
   "$BUILD/tools/fuzz_schedules" --chaos-elastic --updates --seed "$seed" \
       --count 30 --out-dir "$OUT"
 done
+
+"$BUILD/tools/fuzz_schedules" --chaos --seed 1 --count 200 --out-dir "$OUT"
+"$BUILD/tools/fuzz_schedules" --chaos --updates --seed 1 --count 200 \
+    --out-dir "$OUT"
 
 echo "fuzz smoke: OK"
