@@ -289,6 +289,28 @@ void CollectFreeNames(const Expr& e, std::set<std::string> bound,
   }
 }
 
+/// True if predicate `p` can never select by position: its value is
+/// always a boolean or a node sequence (a comparison, and/or, a quantified
+/// expression, or a path with a step), and it reads no position() or
+/// last() of its own focus.
+bool IsNonPositionalPredicate(const Expr& p) {
+  switch (p.kind) {
+    case ExprKind::kComparison:
+    case ExprKind::kAnd:
+    case ExprKind::kOr:
+    case ExprKind::kQuantified:
+      break;
+    case ExprKind::kPath:
+      if (p.steps.empty()) return false;
+      break;
+    default:
+      return false;
+  }
+  std::set<std::string> free;
+  CollectFreeNames(p, {}, &free);
+  return free.count(kPositionVar) == 0;
+}
+
 bool IsStringJoinableType(AtomicType t) {
   return t == AtomicType::kUntypedAtomic || t == AtomicType::kString ||
          t == AtomicType::kAnyUri;
@@ -543,7 +565,7 @@ class LoopLiftedEvaluator::Impl {
         return EvalPath(e, loop);
       case ExprKind::kFilter: {
         XRPC_ASSIGN_OR_RETURN(Table in, Eval(*e.children[0], loop));
-        return ApplyPredicates(std::move(in), e.predicates);
+        return ApplyPredicates(in, e.predicates);
       }
       case ExprKind::kFunctionCall:
         return EvalFunctionCall(e, loop);
@@ -615,23 +637,10 @@ class LoopLiftedEvaluator::Impl {
     return out;
   }
 
-  /// Remaps a value table through an outer->inner iteration map, yielding
-  /// the table keyed by inner iters ("loop-lifting" a live variable into a
-  /// deeper scope).
-  Table MapIntoInner(const Table& t,
-                     const std::multimap<int64_t, int64_t>& outer_to_inner) {
-    Table out = Table::IterPosItem();
-    for (size_t i = 0; i < t.NumRows(); ++i) {
-      auto [lo, hi] = outer_to_inner.equal_range(t.Iter(i));
-      for (auto it = lo; it != hi; ++it) {
-        out.AppendIPI(it->second, t.Pos(i), t.ItemAt(i));
-      }
-    }
-    return out;
-  }
-
-  /// MapIntoInner over a vector of (outer, inner) pairs sorted by outer.
-  Table MapIntoInnerSorted(
+  /// Remaps a value table through an outer->inner iteration map given as
+  /// (outer, inner) pairs sorted by outer, yielding the table keyed by
+  /// inner iters ("loop-lifting" a live variable into a deeper scope).
+  Table MapIntoInner(
       const Table& t,
       const std::vector<std::pair<int64_t, int64_t>>& outer_to_inner) {
     Table out = Table::IterPosItem();
@@ -756,7 +765,7 @@ class LoopLiftedEvaluator::Impl {
 
     std::vector<std::pair<std::string, Table>> remapped;
     for (const auto& [name, table] : env_) {
-      remapped.emplace_back(name, MapIntoInnerSorted(table, old_to_new));
+      remapped.emplace_back(name, MapIntoInner(table, old_to_new));
     }
     env_ = std::move(remapped);
     env_.emplace_back(var, std::move(var_table));
@@ -841,7 +850,7 @@ class LoopLiftedEvaluator::Impl {
       // Remap visible variables into the new loop.
       std::vector<std::pair<std::string, Table>> remapped;
       for (const auto& [name, table] : env_) {
-        remapped.emplace_back(name, MapIntoInnerSorted(table, old_to_new));
+        remapped.emplace_back(name, MapIntoInner(table, old_to_new));
       }
       env_ = std::move(remapped);
       env_.emplace_back(c.var.Clark(), std::move(var_table));
@@ -978,13 +987,13 @@ class LoopLiftedEvaluator::Impl {
         break;
       }
       Table t = SortIPI(bound.value());
-      std::multimap<int64_t, int64_t> old_to_new;
+      std::vector<std::pair<int64_t, int64_t>> old_to_new;  // sorted by old
       std::map<int64_t, int64_t> new_to_old;
       Table var_table = Table::IterPosItem();
       Loop new_loop;
       for (size_t i = 0; i < t.NumRows(); ++i) {
         int64_t new_iter = static_cast<int64_t>(i + 1) + iter_base_;
-        old_to_new.emplace(t.Iter(i), new_iter);
+        old_to_new.emplace_back(t.Iter(i), new_iter);
         new_to_old[new_iter] = t.Iter(i);
         new_loop.push_back(new_iter);
         var_table.AppendIPI(new_iter, 1, t.ItemAt(i));
@@ -1367,10 +1376,49 @@ class LoopLiftedEvaluator::Impl {
         input = std::move(roots);
       }
     }
-    for (const PathStep& step : e.steps) {
-      XRPC_ASSIGN_OR_RETURN(input, EvalStep(input, step));
+    for (size_t k = 0; k < e.steps.size(); ++k) {
+      const PathStep& step = e.steps[k];
+      if (k + 1 < e.steps.size() && FusesWithNext(step, e.steps[k + 1])) {
+        // `//T[p]`: one staircase descendant scan instead of visiting every
+        // node of the subtree and expanding its children (DESIGN.md §6).
+        XRPC_ASSIGN_OR_RETURN(
+            input, EvalStep(input, e.steps[k + 1], Axis::kDescendant));
+        ++k;
+        continue;
+      }
+      XRPC_ASSIGN_OR_RETURN(input, EvalStep(input, step, step.axis));
     }
     return input;
+  }
+
+  /// True if `dos` is a predicate-free `descendant-or-self::node()` and
+  /// `next` a `child::T[p...]` step with an element name or element() test
+  /// whose predicates are all statically non-positional: then the pair
+  /// selects exactly `descendant::T[p...]`. A positional predicate counts
+  /// within each parent (`//a[1]` is every first `a` child), so it keeps
+  /// the two-step meaning.
+  bool FusesWithNext(const PathStep& dos, const PathStep& next) {
+    return dos.axis == Axis::kDescendantOrSelf &&
+           dos.test.kind == NodeTest::Kind::kAnyKind &&
+           dos.predicates.empty() && next.axis == Axis::kChild &&
+           (next.test.kind == NodeTest::Kind::kName ||
+            next.test.kind == NodeTest::Kind::kElement) &&
+           NonPositionalPredicates(next);
+  }
+
+  /// True if no predicate of `step` selects by position (see
+  /// IsNonPositionalPredicate). Decided once per step and cached; only the
+  /// evaluating thread consults the cache.
+  bool NonPositionalPredicates(const PathStep& step) {
+    auto cached = non_positional_.find(&step);
+    if (cached != non_positional_.end()) return cached->second;
+    bool non_positional =
+        std::all_of(step.predicates.begin(), step.predicates.end(),
+                    [](const ExprPtr& p) {
+                      return p != nullptr && IsNonPositionalPredicate(*p);
+                    });
+    non_positional_.emplace(&step, non_positional);
+    return non_positional;
   }
 
   static bool IsForwardAxis(Axis axis) {
@@ -1387,7 +1435,15 @@ class LoopLiftedEvaluator::Impl {
     }
   }
 
-  StatusOr<Table> EvalStep(const Table& input, const PathStep& step) {
+  /// Evaluates `step` along `axis` (the step's own axis, or the descendant
+  /// axis of a fused `//T` pair).
+  StatusOr<Table> EvalStep(const Table& input, const PathStep& step,
+                           Axis axis) {
+    // Staircase pruning: with non-positional predicates, a context node
+    // inside another context node of its iteration adds no descendant the
+    // outer one does not already select.
+    const bool prune_nested =
+        axis == Axis::kDescendant && NonPositionalPredicates(step);
     // Morsel-parallel expansion: iter-aligned morsels never split an iter
     // group, so the per-morsel adjacent-duplicate checks compose exactly
     // and concatenating per-morsel outputs in morsel order reproduces the
@@ -1416,7 +1472,7 @@ class LoopLiftedEvaluator::Impl {
         Impl* self = clones.empty() ? this : clones[m].get();
         bool s = true;
         Status st = self->StepRows(input, morsels[m].begin, morsels[m].end,
-                                   step, &outs[m], &s);
+                                   step, axis, prune_nested, &outs[m], &s);
         single[m] = s ? 1 : 0;
         return st;
       });
@@ -1428,11 +1484,11 @@ class LoopLiftedEvaluator::Impl {
         expanded.AppendRowsFrom(std::move(outs[m]));
       }
     } else {
-      XRPC_RETURN_IF_ERROR(StepRows(input, 0, input.NumRows(), step,
-                                    &expanded, &single_row_iters));
+      XRPC_RETURN_IF_ERROR(StepRows(input, 0, input.NumRows(), step, axis,
+                                    prune_nested, &expanded,
+                                    &single_row_iters));
     }
-    if (single_row_iters && SortedByIter(expanded) &&
-        IsForwardAxis(step.axis)) {
+    if (single_row_iters && SortedByIter(expanded) && IsForwardAxis(axis)) {
       return expanded;  // already per-iter document order, duplicate-free
     }
     return DocOrderPerIter(expanded);
@@ -1440,48 +1496,60 @@ class LoopLiftedEvaluator::Impl {
 
   /// Expands one range of EvalStep's context rows; row layout is identical
   /// to the serial loop. Ranges are iter-aligned, so the i > begin
-  /// duplicate check never misses a cross-range pair.
+  /// duplicate check never misses a cross-range pair. The candidates of
+  /// every context row in the range form one predicate batch. With
+  /// `prune_nested`, a row whose node lies inside the previous expanded
+  /// row's node of the same iteration is skipped; its output would only
+  /// repeat nodes the document-order dedup removes.
   Status StepRows(const Table& input, size_t begin, size_t end,
-                  const PathStep& step, Table* out, bool* single_row_iters) {
+                  const PathStep& step, Axis axis, bool prune_nested,
+                  Table* out, bool* single_row_iters) {
     PollGate gate(cfg_.cancel);
-    Sequence nodes;
+    Sequence items;
+    std::vector<CandidateGroup> groups;
+    groups.reserve(end - begin);
+    const Node* expanded = nullptr;  // last expanded node of this iter
     for (size_t i = begin; i < end; ++i) {
       if (gate.Tick()) return gate.status();
-      if (i > begin && input.Iter(i) == input.Iter(i - 1)) {
-        *single_row_iters = false;
-      }
+      const bool same_iter = i > begin && input.Iter(i) == input.Iter(i - 1);
+      if (same_iter) *single_row_iters = false;
       const Item& item = input.ItemAt(i);
       if (!item.IsNode()) {
         return Status::TypeError("path step applied to an atomic value");
       }
-      nodes.clear();
-      CollectAxis(item, step, &nodes);
-      // Per-context-node predicate application (with focus).
-      if (!step.predicates.empty()) {
-        XRPC_ASSIGN_OR_RETURN(
-            nodes,
-            FilterWithPredicates(std::move(nodes), step.predicates,
-                                 input.Iter(i)));
+      if (prune_nested) {
+        if (same_iter && IsInside(item.node(), expanded)) continue;
+        expanded = item.node();
       }
-      for (size_t k = 0; k < nodes.size(); ++k) {
-        out->AppendIPI(input.Iter(i), static_cast<int64_t>(k + 1), nodes[k]);
-      }
+      size_t first = items.size();
+      CollectAxis(item, step.test, axis, &items);
+      groups.push_back({input.Iter(i), first, items.size()});
     }
+    XRPC_RETURN_IF_ERROR(FilterCandidates(step.predicates, &items, &groups));
+    AppendGroups(std::move(items), groups, out);
     return Status::OK();
+  }
+
+  /// True if `n` is `outer` or one of its descendants.
+  static bool IsInside(const Node* n, const Node* outer) {
+    for (; n != nullptr; n = n->parent()) {
+      if (n == outer) return true;
+    }
+    return false;
   }
 
   /// Axis navigation: descendant/child/attribute go through the shredded
   /// pre/size/level tables (staircase scans); the remaining axes use the
   /// DOM back-pointers.
-  void CollectAxis(const Item& item, const PathStep& step, Sequence* out) {
+  void CollectAxis(const Item& item, const NodeTest& test, Axis axis,
+                   Sequence* out) {
     Node* n = item.node();
     const NodePtr& anchor = item.anchor();
-    const NodeTest& test = step.test;
 
     auto name_test_only = test.kind == NodeTest::Kind::kName && !test.wildcard;
 
-    if ((step.axis == Axis::kDescendant ||
-         step.axis == Axis::kDescendantOrSelf || step.axis == Axis::kChild) &&
+    if ((axis == Axis::kDescendant ||
+         axis == Axis::kDescendantOrSelf || axis == Axis::kChild) &&
         (name_test_only || (test.kind == NodeTest::Kind::kName && test.wildcard) ||
          test.kind == NodeTest::Kind::kElement) &&
         cfg_.shreds != nullptr) {
@@ -1494,11 +1562,11 @@ class LoopLiftedEvaluator::Impl {
         int32_t name_id = name_test_only ? shredded->NameId(test.name) : -1;
         if (name_test_only && name_id < 0) return;  // name never occurs
         std::vector<int32_t> pres;
-        if (step.axis == Axis::kChild) {
+        if (axis == Axis::kChild) {
           pres = shredded->ChildElements(pre, name_id);
         } else {
           pres = shredded->DescendantElements(pre, name_id);
-          if (step.axis == Axis::kDescendantOrSelf) {
+          if (axis == Axis::kDescendantOrSelf) {
             const auto& row = shredded->Row(pre);
             bool self_matches =
                 row.kind == NodeKind::kElement &&
@@ -1531,7 +1599,7 @@ class LoopLiftedEvaluator::Impl {
         case NodeTest::Kind::kDocument:
           return m.kind() == NodeKind::kDocument;
         case NodeTest::Kind::kName: {
-          NodeKind principal = step.axis == Axis::kAttribute
+          NodeKind principal = axis == Axis::kAttribute
                                    ? NodeKind::kAttribute
                                    : NodeKind::kElement;
           if (m.kind() != principal) return false;
@@ -1549,7 +1617,7 @@ class LoopLiftedEvaluator::Impl {
         descend(c.get());
       }
     };
-    switch (step.axis) {
+    switch (axis) {
       case Axis::kChild:
         for (const NodePtr& c : n->children()) emit(c.get());
         return;
@@ -1595,32 +1663,64 @@ class LoopLiftedEvaluator::Impl {
     }
   }
 
-  /// Applies predicates to a candidate node list by loop-lifting the
-  /// predicate over the candidates: each candidate is one iteration, the
-  /// context item/position/last become hidden variables, and the visible
-  /// environment (bound in `enclosing_iter` of the outer loop) is remapped
-  /// into the candidate loop so loop-dependent predicates such as
-  /// [./buyer/@person = $pid] see the right binding per iteration.
-  StatusOr<Sequence> FilterWithPredicates(
-      Sequence candidates, const std::vector<ExprPtr>& predicates,
-      int64_t enclosing_iter) {
+  /// The candidates of one context: items [begin, end) of a predicate
+  /// batch, all bound in outer iteration `iter`.
+  struct CandidateGroup {
+    int64_t iter;
+    size_t begin;
+    size_t end;
+  };
+
+  /// Applies `predicates` to every group of a candidate batch with one
+  /// evaluation per predicate, by loop-lifting the predicate over the
+  /// candidates: each candidate is one fresh iteration, its context item,
+  /// position and last (counted within its group) become hidden variables,
+  /// and one outer->candidate remap lifts the environment so
+  /// loop-dependent predicates such as [./buyer/@person = $pid] see each
+  /// group's binding. A singleton numeric value keeps the candidate at that
+  /// position; any other value is taken by its effective boolean value.
+  /// Compacts `items` and the group ranges in place.
+  Status FilterCandidates(const std::vector<ExprPtr>& predicates,
+                          Sequence* items,
+                          std::vector<CandidateGroup>* groups) {
     for (const ExprPtr& pred : predicates) {
-      if (candidates.empty()) break;
+      const int64_t n = static_cast<int64_t>(items->size());
+      if (n == 0) break;
+      if (iter_base_ > iter_limit_ - n - 1) {
+        return Status::Internal(
+            "predicate batch exceeds the fresh-iteration window");
+      }
+      const int64_t base = iter_base_;
+      iter_base_ += n + 1;
       Loop cand_loop;
+      cand_loop.reserve(static_cast<size_t>(n));
       Table dot = Table::IterPosItem();
       Table position = Table::IterPosItem();
       Table last = Table::IterPosItem();
-      std::multimap<int64_t, int64_t> outer_to_cand;
-      int64_t n = static_cast<int64_t>(candidates.size());
-      for (int64_t i = 0; i < n; ++i) {
-        int64_t iter = iter_base_ + i + 1;
-        cand_loop.push_back(iter);
-        outer_to_cand.emplace(enclosing_iter, iter);
-        dot.AppendIPI(iter, 1, candidates[static_cast<size_t>(i)]);
-        position.AppendIPI(iter, 1, Item(AtomicValue::Integer(i + 1)));
-        last.AppendIPI(iter, 1, Item(AtomicValue::Integer(n)));
+      dot.Reserve(static_cast<size_t>(n));
+      position.Reserve(static_cast<size_t>(n));
+      last.Reserve(static_cast<size_t>(n));
+      std::vector<std::pair<int64_t, int64_t>> outer_to_cand;
+      outer_to_cand.reserve(static_cast<size_t>(n));
+      for (const CandidateGroup& g : *groups) {
+        const int64_t count = static_cast<int64_t>(g.end - g.begin);
+        for (size_t k = g.begin; k < g.end; ++k) {
+          const int64_t iter = base + static_cast<int64_t>(k) + 1;
+          const int64_t pos = static_cast<int64_t>(k - g.begin) + 1;
+          cand_loop.push_back(iter);
+          outer_to_cand.emplace_back(g.iter, iter);
+          dot.AppendIPI(iter, 1, (*items)[k]);
+          position.AppendIPI(iter, 1, Item(AtomicValue::Integer(pos)));
+          last.AppendIPI(iter, 1, Item(AtomicValue::Integer(count)));
+        }
       }
-      iter_base_ += n + 1;
+      auto by_outer = [](const auto& a, const auto& b) {
+        return a.first < b.first;
+      };
+      if (!std::is_sorted(outer_to_cand.begin(), outer_to_cand.end(),
+                          by_outer)) {
+        std::stable_sort(outer_to_cand.begin(), outer_to_cand.end(), by_outer);
+      }
       std::vector<std::pair<std::string, Table>> saved_env = std::move(env_);
       env_.clear();
       for (const auto& [name, table] : saved_env) {
@@ -1632,42 +1732,77 @@ class LoopLiftedEvaluator::Impl {
       auto value = Eval(*pred, cand_loop);
       env_ = std::move(saved_env);
       XRPC_RETURN_IF_ERROR(value.status());
-      auto groups = GroupByIter(value.value());
-      Sequence kept;
-      for (int64_t i = 0; i < n; ++i) {
-        int64_t iter = cand_loop[static_cast<size_t>(i)];
-        auto g = groups.find(iter);
-        if (g == groups.end()) continue;
-        Sequence v;
-        for (size_t row : g->second) {
-          v.push_back(value.value().ItemAt(row));
-        }
-        bool keep;
-        if (v.size() == 1 && v[0].IsAtomic() && v[0].atomic().IsNumeric()) {
-          keep = v[0].atomic().AsDouble() == static_cast<double>(i + 1);
-        } else {
-          XRPC_ASSIGN_OR_RETURN(keep, xdm::EffectiveBooleanValue(v));
-        }
-        if (keep) kept.push_back(candidates[static_cast<size_t>(i)]);
+      // Candidate iters ascend with the item index, so one walk over the
+      // value rows in iter order hands each candidate its own rows.
+      const Table* v = &value.value();
+      Table sorted;
+      if (!SortedByIter(*v)) {
+        sorted = SortIPI(*v);
+        v = &sorted;
       }
-      candidates = std::move(kept);
+      size_t r = 0;
+      size_t kept = 0;
+      Sequence seq;
+      for (CandidateGroup& g : *groups) {
+        const size_t group_begin = kept;
+        for (size_t k = g.begin; k < g.end; ++k) {
+          const int64_t iter = base + static_cast<int64_t>(k) + 1;
+          seq.clear();
+          for (; r < v->NumRows() && v->Iter(r) <= iter; ++r) {
+            if (v->Iter(r) == iter) seq.push_back(v->ItemAt(r));
+          }
+          bool keep;
+          if (seq.size() == 1 && seq[0].IsAtomic() &&
+              seq[0].atomic().IsNumeric()) {
+            keep = seq[0].atomic().AsDouble() ==
+                   static_cast<double>(k - g.begin + 1);
+          } else {
+            XRPC_ASSIGN_OR_RETURN(keep, xdm::EffectiveBooleanValue(seq));
+          }
+          if (!keep) continue;
+          if (kept != k) (*items)[kept] = std::move((*items)[k]);
+          ++kept;
+        }
+        g.begin = group_begin;
+        g.end = kept;
+      }
+      items->resize(kept);
     }
-    return candidates;
+    return Status::OK();
   }
 
-  StatusOr<Table> ApplyPredicates(Table in,
-                                  const std::vector<ExprPtr>& predicates) {
-    auto groups = GroupByIter(in);
-    Table out = Table::IterPosItem();
-    for (auto& [iter, rows] : groups) {
-      Sequence seq;
-      for (size_t row : rows) seq.push_back(in.ItemAt(row));
-      XRPC_ASSIGN_OR_RETURN(seq, FilterWithPredicates(seq, predicates, iter));
-      for (size_t i = 0; i < seq.size(); ++i) {
-        out.AppendIPI(iter, static_cast<int64_t>(i + 1), seq[i]);
+  /// Appends each group's items as that group's iteration, pos 1..k.
+  static void AppendGroups(Sequence items,
+                           const std::vector<CandidateGroup>& groups,
+                           Table* out) {
+    out->Reserve(out->NumRows() + items.size());
+    for (const CandidateGroup& g : groups) {
+      for (size_t k = g.begin; k < g.end; ++k) {
+        out->AppendIPI(g.iter, static_cast<int64_t>(k - g.begin + 1),
+                       std::move(items[k]));
       }
     }
-    return SortIPI(out);
+  }
+
+  /// Filter expression `E[p...]`: each iteration's sequence is one
+  /// candidate group of a single predicate batch.
+  StatusOr<Table> ApplyPredicates(const Table& in_rows,
+                                  const std::vector<ExprPtr>& predicates) {
+    Table in = SortIPI(in_rows);
+    Sequence items;
+    items.reserve(in.NumRows());
+    std::vector<CandidateGroup> groups;
+    for (size_t i = 0; i < in.NumRows(); ++i) {
+      if (groups.empty() || groups.back().iter != in.Iter(i)) {
+        groups.push_back({in.Iter(i), i, i});
+      }
+      items.push_back(in.ItemAt(i));
+      groups.back().end = i + 1;
+    }
+    XRPC_RETURN_IF_ERROR(FilterCandidates(predicates, &items, &groups));
+    Table out = Table::IterPosItem();
+    AppendGroups(std::move(items), groups, &out);
+    return out;
   }
 
   // ------------------------------------------------------------ functions
@@ -1753,8 +1888,10 @@ class LoopLiftedEvaluator::Impl {
     clone->scopes_ = scopes_;
     clone->hoistable_ = hoistable_;
     clone->join_invariant_ = join_invariant_;
+    clone->non_positional_ = non_positional_;
     clone->inline_depth_ = inline_depth_;
     clone->iter_base_ = iter_base;
+    clone->iter_limit_ = iter_base + kWorkerIterStride;
     return clone;
   }
 
@@ -1835,7 +1972,11 @@ class LoopLiftedEvaluator::Impl {
   std::vector<BulkRpcTrace> traces_;
   std::unordered_map<const Expr*, bool> hoistable_;
   std::unordered_map<const Expr*, bool> join_invariant_;
+  std::unordered_map<const PathStep*, bool> non_positional_;
   int64_t iter_base_ = 1'000'000;  ///< fresh iteration number source
+  /// End of this evaluator's fresh-iteration window (a worker clone's
+  /// kWorkerIterStride slice; unbounded for the top-level evaluator).
+  int64_t iter_limit_ = std::numeric_limits<int64_t>::max();
   int inline_depth_ = 0;
 };
 

@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "compiler/loop_lift.h"
 #include "tests/test_util.h"
@@ -24,12 +27,19 @@ constexpr char kFilmDb[] =
     "<film><name>Green Card</name><actor>Gerard Depardieu</actor></film>"
     "</films>";
 
+/// Same-name elements nested inside each other and spread over two
+/// parents: a1 holds a2; b holds a3 (with a b child) and a4.
+constexpr char kNested[] =
+    "<r><a id=\"1\" k=\"x\"><a id=\"2\" k=\"y\"/></a>"
+    "<b><a id=\"3\" k=\"x\"><b/></a><a id=\"4\" k=\"y\"/></b></r>";
+
 class LoopLiftTest : public ::testing::Test {
  protected:
   LoopLiftTest() {
     docs_.AddDocument("filmDB.xml", kFilmDb);
     docs_.AddDocument("nums.xml",
                       "<ns><n>3</n><n>1</n><n>2</n><n>1</n></ns>");
+    docs_.AddDocument("nested.xml", kNested);
     EXPECT_TRUE(modules_
                     .AddModule(R"(
       module namespace m = "m";
@@ -99,6 +109,55 @@ TEST_F(LoopLiftTest, SelectionFunctionActsAsJoin) {
 TEST_F(LoopLiftTest, UpdatingExpressionIsUnsupported) {
   std::string r = Relational("delete nodes doc(\"filmDB.xml\")//film");
   EXPECT_NE(r.find("Unsupported"), std::string::npos) << r;
+}
+
+// `//T[p]` runs as one descendant scan only when every predicate is
+// non-positional; a positional predicate counts within each parent, so
+// `//a[1]` is every first `a` child, not the first `a` of the document.
+// Exact results on both engines, serial and morsel-parallel.
+TEST_F(LoopLiftTest, DescendantStepFusionBoundary) {
+  const std::string a1 = "<a id=\"1\" k=\"x\"><a id=\"2\" k=\"y\"/></a>";
+  const std::string a2 = "<a id=\"2\" k=\"y\"/>";
+  const std::string a3 = "<a id=\"3\" k=\"x\"><b/></a>";
+  const std::string a4 = "<a id=\"4\" k=\"y\"/>";
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      // positional: the two-step meaning, per parent
+      {"doc(\"nested.xml\")//a[1]", a1 + " " + a2 + " " + a3},
+      {"doc(\"nested.xml\")//a[last()]", a1 + " " + a2 + " " + a4},
+      {"doc(\"nested.xml\")//a[position()=2]", a4},
+      // non-positional: fused into descendant::a[p]
+      {"doc(\"nested.xml\")//a[@k=\"x\"]", a1 + " " + a3},
+      {"doc(\"nested.xml\")//a[b]", a3},
+      {"doc(\"nested.xml\")//a[b[1]]", a3},
+      {"doc(\"nested.xml\")//*[@k=\"y\"]", a2 + " " + a4},
+      {"doc(\"nested.xml\")//element()[@k=\"y\"]", a2 + " " + a4},
+      // a positional predicate after a non-positional one must not fuse
+      {"doc(\"nested.xml\")//a[@k=\"x\"][1]", a1 + " " + a3},
+      // overlapping context nodes in one iteration: deduplicated, in
+      // document order
+      {"let $ctx := (doc(\"nested.xml\")/r/b, doc(\"nested.xml\")/r) "
+       "return $ctx//a",
+       a1 + " " + a2 + " " + a3 + " " + a4},
+      // nested context nodes: the fused step skips the inner ones, an
+      // explicit positional descendant step must not
+      {"doc(\"nested.xml\")//*//a[@k=\"y\"]", a2 + " " + a4},
+      {"(doc(\"nested.xml\")/r, doc(\"nested.xml\")/r/b)/descendant::a[1]",
+       a1 + " " + a3},
+      // a predicate reading a loop variable across iterations
+      {"for $k in (\"x\",\"y\") return doc(\"nested.xml\")//a[@k=$k]",
+       a1 + " " + a3 + " " + a2 + " " + a4},
+      // filter expressions: the whole sequence is the predicate's context
+      {"(doc(\"nested.xml\")//a)[2]", a2},
+      {"for $i in (2,4) return (doc(\"nested.xml\")//a)[$i]", a2 + " " + a4},
+  };
+  for (const auto& [query, expected] : cases) {
+    EXPECT_EQ(Interpreted(query), expected) << query;
+    EXPECT_EQ(Relational(query), expected) << query;
+    for (int threads : {2, 8}) {
+      EXPECT_EQ(Relational(query, threads), expected)
+          << query << " exec_threads=" << threads;
+    }
+  }
 }
 
 // Equivalence property: relational and interpreted evaluation agree on the

@@ -9,6 +9,15 @@
 #include "xml/parser.h"
 #include "xml/serializer.h"
 
+namespace xrpc::xdm {
+// Prints a parameter as "xs:integer(0)". Without it googletest prints an
+// AtomicValue as a byte dump, which holds uninitialised padding and heap
+// addresses, so the discovered test names changed with every run.
+void PrintTo(const AtomicValue& value, std::ostream* os) {
+  *os << AtomicTypeName(value.type()) << "(" << value.ToString() << ")";
+}
+}  // namespace xrpc::xdm
+
 namespace xrpc::soap {
 namespace {
 

@@ -164,6 +164,35 @@ TEST(ParserNegativeTest, DeeplyNestedParensDoNotOverflow) {
   }
 }
 
+TEST(ParserNegativeTest, TenThousandNestedParensAreAParseError) {
+  // Past the nesting budget: a clean error in every build, where the
+  // unbounded recursive descent used to overflow the stack.
+  std::string query(10000, '(');
+  query += "1";
+  query += std::string(10000, ')');
+  ExpectParseError(query, "nested too deeply");
+}
+
+TEST(ParserNegativeTest, DeeplyNestedDirectElementsAreAParseError) {
+  // Direct element content recurses without passing through an
+  // expression, so the element entry counts against the same budget.
+  std::string query;
+  for (int i = 0; i < 10000; ++i) query += "<a>";
+  for (int i = 0; i < 10000; ++i) query += "</a>";
+  ExpectParseError(query, "nested too deeply");
+}
+
+TEST(ParserNegativeTest, NestingWithinTheBudgetStillParses) {
+  std::string query(100, '(');
+  query += "1";
+  query += std::string(100, ')');
+  EXPECT_TRUE(ParseMainModule(query).ok());
+  std::string elems;
+  for (int i = 0; i < 100; ++i) elems += "<a>";
+  for (int i = 0; i < 100; ++i) elems += "</a>";
+  EXPECT_TRUE(ParseMainModule(elems).ok());
+}
+
 TEST(ParserNegativeTest, TrailingContentIsRejected) {
   // (Note `1 + 1 <banana` would be VALID — `<` is the less-than operator
   // and `banana` a child step. Use genuinely trailing content.)

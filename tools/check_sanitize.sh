@@ -5,7 +5,9 @@
 # worker-pool / keep-alive threading paths, the parallel Bulk RPC
 # dispatch paths, the concurrent WAL / 2PC crash-recovery paths, the
 # sharded-collection scatter-gather paths (whose per-shard Bulk RPCs ride
-# the parallel dispatch pool), plus the `failover` lane (replica failover,
+# the parallel dispatch pool), the XQuery parser suites (the nesting
+# budget that turns hostile query depth into a parse error, not a stack
+# overflow), plus the `failover` lane (replica failover,
 # catalog epoch fencing, circuit-breaker probe races; DESIGN.md §14) and
 # the `parallel` lane (the morsel-parallel executor's determinism tests at
 # exec_threads in {1,2,8} — corpus, seeded-random, sharded scatter-gather
@@ -28,6 +30,9 @@ cmake --build "$BUILD" -j
 cd "$BUILD"
 ctest --output-on-failure -j"$(nproc)" \
       -R 'HttpServer|HttpTransport|HttpPost|HttpIntegrationTest|Retry|FaultInjection|SimulatedNetwork|RpcMetrics|LatencyHistogram|Uri|BulkRetry|TxnLog|PulSerialization|TxnRecovery|ThreadPool|ParallelGroup|ParallelDispatch|RetryJitter|CancellationToken|CircuitBreaker|RetryingTransportDeadline|RetryingTransportBreaker|DeadlineChain|CatalogTest|ShardExecTest'
+# The XQuery parser suites: untrusted query text must come back as a clean
+# parse error under the nesting budget, never a stack overflow.
+ctest --output-on-failure -j"$(nproc)" -R 'Parser\.|ParserNegativeTest'
 # The failover lane by label: replica failover + epoch fencing
 # (failover_test) and the half-open probe races (circuit_breaker_test).
 ctest --output-on-failure -j"$(nproc)" -L failover
