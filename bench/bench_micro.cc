@@ -77,8 +77,11 @@ void BM_MarshalSequence(benchmark::State& state) {
     seq.push_back(Item(AtomicValue::String("value-" + std::to_string(i))));
   }
   for (auto _ : state) {
-    auto node = xrpc::soap::SequenceToNode(seq);
-    benchmark::DoNotOptimize(node);
+    std::string out;
+    xrpc::xml::NodeWriter writer(
+        &out, {{"xsi", xrpc::xml::kXsiNs}, {"xrpc", xrpc::xml::kXrpcNs}});
+    xrpc::soap::WriteSequence(seq, writer);
+    benchmark::DoNotOptimize(out);
   }
 }
 BENCHMARK(BM_MarshalSequence)->Arg(10)->Arg(1000);

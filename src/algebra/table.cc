@@ -297,8 +297,7 @@ Table LiteralTable(std::vector<std::string> names,
   return out;
 }
 
-StatusOr<Table> SortBy(const Table& in,
-                       const std::vector<std::string>& columns) {
+StatusOr<Table> SortBy(Table in, const std::vector<std::string>& columns) {
   std::vector<int> cols;
   for (const std::string& c : columns) {
     int idx = in.ColumnIndex(c);

@@ -155,9 +155,9 @@ Table LiteralTable(std::vector<std::string> names,
 
 /// Sorts by the given int columns ascending (executor helper; MonetDB
 /// realizes this through ρ + positional access). Already-sorted input is
-/// detected in one column scan and returned without the gather.
-StatusOr<Table> SortBy(const Table& in,
-                       const std::vector<std::string>& columns);
+/// detected in one column scan and moved back out, neither gathered nor
+/// copied.
+StatusOr<Table> SortBy(Table in, const std::vector<std::string>& columns);
 
 /// Order-preserving scatter-gather merge (DESIGN.md §13): recombines the
 /// per-shard result tables of a decomposed Bulk RPC. `sources` are

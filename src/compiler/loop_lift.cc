@@ -316,10 +316,12 @@ bool IsStringJoinableType(AtomicType t) {
          t == AtomicType::kAnyUri;
 }
 
-/// Sorts an iter|pos|item table by (iter, pos).
-Table SortIPI(const Table& t) {
-  auto sorted = algebra::SortBy(t, {"iter", "pos"});
-  return sorted.ok() ? std::move(sorted).value() : t;
+/// Sorts an iter|pos|item table by (iter, pos); a sorted one is moved
+/// through untouched.
+Table SortIPI(Table t) {
+  static const std::vector<std::string> kIterPos = {"iter", "pos"};
+  if (t.ColumnIndex("iter") < 0 || t.ColumnIndex("pos") < 0) return t;
+  return std::move(algebra::SortBy(std::move(t), kIterPos)).value();
 }
 
 }  // namespace
@@ -369,12 +371,12 @@ class LoopLiftedEvaluator::Impl {
       env_.emplace_back(name.Clark(), std::move(v));
     }
     XRPC_ASSIGN_OR_RETURN(Table result, Eval(*query.body, loop));
-    return TableToSequence(SortIPI(result), 1);
+    return TableToSequence(SortIPI(std::move(result)), 1);
   }
 
   StatusOr<Table> EvaluateFunctionBulk(const xquery::LibraryModule& module,
                                        const xquery::FunctionDef& def,
-                                       const std::vector<Table>& args,
+                                       std::vector<Table> args,
                                        int64_t num_calls) {
     if (args.size() != def.arity()) {
       return Status::TypeError("bulk call arity mismatch for " +
@@ -389,14 +391,15 @@ class LoopLiftedEvaluator::Impl {
     size_t env_mark = env_.size();
     for (size_t p = 0; p < args.size(); ++p) {
       XRPC_ASSIGN_OR_RETURN(
-          Table coerced, CoerceTable(args[p], def.params[p].type));
+          Table coerced,
+          CoerceTable(std::move(args[p]), def.params[p].type));
       env_.emplace_back(def.params[p].name.Clark(), std::move(coerced));
     }
     auto result = Eval(*def.body, loop);
     env_.resize(env_mark);
     scopes_.pop_back();
     if (!result.ok()) return result.status();
-    return SortIPI(result.value());
+    return SortIPI(std::move(result).value());
   }
 
   const std::vector<BulkRpcTrace>& traces() const { return traces_; }
@@ -475,7 +478,7 @@ class LoopLiftedEvaluator::Impl {
     return out;
   }
 
-  StatusOr<Table> CoerceTable(const Table& t, const xquery::SequenceType& type) {
+  StatusOr<Table> CoerceTable(Table t, const xquery::SequenceType& type) {
     if (type.kind != xquery::SequenceType::ItemKind::kAtomic) return t;
     Table out = Table::IterPosItem();
     for (size_t i = 0; i < t.NumRows(); ++i) {
@@ -565,7 +568,7 @@ class LoopLiftedEvaluator::Impl {
         return EvalPath(e, loop);
       case ExprKind::kFilter: {
         XRPC_ASSIGN_OR_RETURN(Table in, Eval(*e.children[0], loop));
-        return ApplyPredicates(in, e.predicates);
+        return ApplyPredicates(std::move(in), e.predicates);
       }
       case ExprKind::kFunctionCall:
         return EvalFunctionCall(e, loop);
@@ -603,7 +606,7 @@ class LoopLiftedEvaluator::Impl {
     parts.reserve(e.children.size());
     for (const ExprPtr& c : e.children) {
       XRPC_ASSIGN_OR_RETURN(Table t, Eval(*c, loop));
-      parts.push_back(SortIPI(t));
+      parts.push_back(SortIPI(std::move(t)));
     }
     Table out = Table::IterPosItem();
     for (int64_t iter : loop) {
@@ -820,11 +823,11 @@ class LoopLiftedEvaluator::Impl {
         break;
       }
       if (c.kind == FlworClause::Kind::kLet) {
-        env_.emplace_back(c.var.Clark(), SortIPI(bound.value()));
+        env_.emplace_back(c.var.Clark(), SortIPI(std::move(bound).value()));
         continue;
       }
       // for $v in t: every row of t becomes a new iteration.
-      Table t = SortIPI(bound.value());
+      Table t = SortIPI(std::move(bound).value());
       std::vector<std::pair<int64_t, int64_t>> old_to_new;  // sorted by old
       Table var_table = Table::IterPosItem();
       Table pos_table = Table::IterPosItem();
@@ -936,7 +939,7 @@ class LoopLiftedEvaluator::Impl {
     // return clause under the final loop; map back to outer iters with
     // pos renumbered in (ordered inner iteration, inner pos) order.
     XRPC_ASSIGN_OR_RETURN(Table ret, Eval(*e.ret, cur_loop));
-    ret = SortIPI(ret);
+    ret = SortIPI(std::move(ret));
     auto groups = GroupByIter(ret);
     Table out = Table::IterPosItem();
     std::map<int64_t, int64_t> out_pos;
@@ -948,7 +951,7 @@ class LoopLiftedEvaluator::Impl {
         out.AppendIPI(outer, ++out_pos[outer], ret.ItemAt(row));
       }
     }
-    return SortIPI(out);
+    return SortIPI(std::move(out));
   }
 
   StatusOr<Table> EvalIf(const Expr& e, const Loop& loop) {
@@ -967,7 +970,7 @@ class LoopLiftedEvaluator::Impl {
       XRPC_ASSIGN_OR_RETURN(Table t, Eval(*e.children[2], else_loop));
       XRPC_ASSIGN_OR_RETURN(out, algebra::DisjointUnion(out, t));
     }
-    return SortIPI(out);
+    return SortIPI(std::move(out));
   }
 
   StatusOr<Table> EvalQuantified(const Expr& e, const Loop& loop) {
@@ -986,7 +989,7 @@ class LoopLiftedEvaluator::Impl {
         st = bound.status();
         break;
       }
-      Table t = SortIPI(bound.value());
+      Table t = SortIPI(std::move(bound).value());
       std::vector<std::pair<int64_t, int64_t>> old_to_new;  // sorted by old
       std::map<int64_t, int64_t> new_to_old;
       Table var_table = Table::IterPosItem();
@@ -1291,35 +1294,30 @@ class LoopLiftedEvaluator::Impl {
     XRPC_ASSIGN_OR_RETURN(Table l, Eval(*e.children[0], loop));
     XRPC_ASSIGN_OR_RETURN(Table r, Eval(*e.children[1], loop));
     XRPC_ASSIGN_OR_RETURN(Table both, algebra::DisjointUnion(l, r));
-    return DocOrderPerIter(both);
+    return DocOrderPerIter(std::move(both));
   }
 
   /// Sorts node rows per iter into document order, deduplicates, and
   /// renumbers pos. Iter groups are independent, so the groups are morsel
   /// work: each worker sorts its own iter-aligned range and the in-order
   /// concatenation of the per-morsel outputs equals the serial result.
-  StatusOr<Table> DocOrderPerIter(const Table& t_in) {
-    Table sorted;
-    const Table* t = &t_in;
-    if (!SortedByIter(t_in)) {
-      sorted = SortIPI(t_in);
-      t = &sorted;
-    }
+  StatusOr<Table> DocOrderPerIter(Table t) {
+    if (!SortedByIter(t)) t = SortIPI(std::move(t));
     std::vector<algebra::Morsel> morsels;
-    if (exec_->parallel_capable() && t->NumRows() > 1) {
-      morsels = algebra::SplitIterAligned(*t, cfg_.morsel_rows);
+    if (exec_->parallel_capable() && t.NumRows() > 1) {
+      morsels = algebra::SplitIterAligned(t, cfg_.morsel_rows);
     }
     Table out = Table::IterPosItem();
     if (morsels.size() > 1) {
       std::vector<Table> outs(morsels.size(), Table::IterPosItem());
       Status run = exec_->Run("docorder", morsels.size(), [&](size_t m) {
-        return DocOrderRows(*t, morsels[m].begin, morsels[m].end, &outs[m]);
+        return DocOrderRows(t, morsels[m].begin, morsels[m].end, &outs[m]);
       });
       XRPC_RETURN_IF_ERROR(run);
       for (Table& o : outs) out.AppendRowsFrom(std::move(o));
       return out;
     }
-    XRPC_RETURN_IF_ERROR(DocOrderRows(*t, 0, t->NumRows(), &out));
+    XRPC_RETURN_IF_ERROR(DocOrderRows(t, 0, t.NumRows(), &out));
     return out;
   }
 
@@ -1491,7 +1489,7 @@ class LoopLiftedEvaluator::Impl {
     if (single_row_iters && SortedByIter(expanded) && IsForwardAxis(axis)) {
       return expanded;  // already per-iter document order, duplicate-free
     }
-    return DocOrderPerIter(expanded);
+    return DocOrderPerIter(std::move(expanded));
   }
 
   /// Expands one range of EvalStep's context rows; row layout is identical
@@ -1734,12 +1732,9 @@ class LoopLiftedEvaluator::Impl {
       XRPC_RETURN_IF_ERROR(value.status());
       // Candidate iters ascend with the item index, so one walk over the
       // value rows in iter order hands each candidate its own rows.
-      const Table* v = &value.value();
-      Table sorted;
-      if (!SortedByIter(*v)) {
-        sorted = SortIPI(*v);
-        v = &sorted;
-      }
+      Table sorted = std::move(value).value();
+      if (!SortedByIter(sorted)) sorted = SortIPI(std::move(sorted));
+      const Table* v = &sorted;
       size_t r = 0;
       size_t kept = 0;
       Sequence seq;
@@ -1786,9 +1781,9 @@ class LoopLiftedEvaluator::Impl {
 
   /// Filter expression `E[p...]`: each iteration's sequence is one
   /// candidate group of a single predicate batch.
-  StatusOr<Table> ApplyPredicates(const Table& in_rows,
+  StatusOr<Table> ApplyPredicates(Table in,
                                   const std::vector<ExprPtr>& predicates) {
-    Table in = SortIPI(in_rows);
+    in = SortIPI(std::move(in));
     Sequence items;
     items.reserve(in.NumRows());
     std::vector<CandidateGroup> groups;
@@ -2065,7 +2060,7 @@ StatusOr<Table> LoopLiftedEvaluator::Impl::EvalFunctionCall(const Expr& e,
       }
       if (st.ok()) {
         for (size_t i = 0; i < args.size(); ++i) {
-          auto coerced = CoerceTable(args[i], def->params[i].type);
+          auto coerced = CoerceTable(std::move(args[i]), def->params[i].type);
           if (!coerced.ok()) {
             st = coerced.status();
             break;
@@ -2400,7 +2395,7 @@ StatusOr<Table> LoopLiftedEvaluator::Impl::EvalExecuteAt(const Expr& e,
   std::vector<Table> params;
   for (size_t i = 1; i < e.children.size(); ++i) {
     XRPC_ASSIGN_OR_RETURN(Table p, Eval(*e.children[i], loop));
-    params.push_back(SortIPI(p));
+    params.push_back(SortIPI(std::move(p)));
   }
   size_t arity = params.size();
 
@@ -2623,8 +2618,8 @@ StatusOr<Table> LoopLiftedEvaluator::Impl::EvalExecuteAt(const Expr& e,
     Table result = algebra::ScatterGatherMerge(shard_sources);
     if (cfg_.trace_bulk_rpc) {
       for (auto& tp : trace.peers) {
-        tp.msg = SortIPI(tp.msg);
-        tp.res = SortIPI(tp.res);
+        tp.msg = SortIPI(std::move(tp.msg));
+        tp.res = SortIPI(std::move(tp.res));
       }
       trace.result = normalize(result);
       traces_.push_back(std::move(trace));
@@ -2657,7 +2652,7 @@ StatusOr<Table> LoopLiftedEvaluator::Impl::EvalConstructor(const Expr& e,
         w.attr = a.get();
         for (const ExprPtr& c : a->children) {
           XRPC_ASSIGN_OR_RETURN(Table t, Eval(*c, loop));
-          w.parts.push_back(SortIPI(t));
+          w.parts.push_back(SortIPI(std::move(t)));
         }
         attrs.push_back(std::move(w));
       }
@@ -2669,7 +2664,7 @@ StatusOr<Table> LoopLiftedEvaluator::Impl::EvalConstructor(const Expr& e,
           continue;
         }
         XRPC_ASSIGN_OR_RETURN(Table t, Eval(*c, loop));
-        content.emplace_back(c.get(), SortIPI(t));
+        content.emplace_back(c.get(), SortIPI(std::move(t)));
       }
       Table out = Table::IterPosItem();
       for (int64_t iter : loop) {
@@ -2749,7 +2744,8 @@ StatusOr<Table> LoopLiftedEvaluator::Impl::EvalConstructor(const Expr& e,
         return out;
       }
       XRPC_ASSIGN_OR_RETURN(Table t, Eval(*e.children[0], loop));
-      auto groups = GroupByIter(SortIPI(t));
+      Table sorted = SortIPI(std::move(t));
+      auto groups = GroupByIter(sorted);
       Table out = Table::IterPosItem();
       for (int64_t iter : loop) {
         auto g = groups.find(iter);
@@ -2757,7 +2753,7 @@ StatusOr<Table> LoopLiftedEvaluator::Impl::EvalConstructor(const Expr& e,
         std::string text;
         for (size_t k = 0; k < g->second.size(); ++k) {
           if (k > 0) text += " ";
-          text += t.ItemAt(g->second[k]).StringValue();
+          text += sorted.ItemAt(g->second[k]).StringValue();
         }
         out.AppendIPI(iter, 1, Item::Node(Node::NewText(std::move(text))));
       }
@@ -2783,8 +2779,8 @@ StatusOr<xdm::Sequence> LoopLiftedEvaluator::EvaluateQuery(
 
 StatusOr<algebra::Table> LoopLiftedEvaluator::EvaluateFunctionBulk(
     const xquery::LibraryModule& module, const xquery::FunctionDef& def,
-    const std::vector<algebra::Table>& args, int64_t num_calls) {
-  return impl_->EvaluateFunctionBulk(module, def, args, num_calls);
+    std::vector<algebra::Table> args, int64_t num_calls) {
+  return impl_->EvaluateFunctionBulk(module, def, std::move(args), num_calls);
 }
 
 const std::vector<BulkRpcTrace>& LoopLiftedEvaluator::traces() const {

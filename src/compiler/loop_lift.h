@@ -99,7 +99,7 @@ class LoopLiftedEvaluator {
   /// holds one result sequence per iter.
   StatusOr<algebra::Table> EvaluateFunctionBulk(
       const xquery::LibraryModule& module, const xquery::FunctionDef& def,
-      const std::vector<algebra::Table>& args, int64_t num_calls);
+      std::vector<algebra::Table> args, int64_t num_calls);
 
   /// Bulk RPC traces captured so far (trace_bulk_rpc only).
   const std::vector<BulkRpcTrace>& traces() const;

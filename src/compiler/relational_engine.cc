@@ -123,7 +123,7 @@ StatusOr<std::vector<xdm::Sequence>> RelationalEngine::ExecuteRelational(
   LoopLiftedEvaluator evaluator(config);
   XRPC_ASSIGN_OR_RETURN(
       algebra::Table result,
-      evaluator.EvaluateFunctionBulk(module, def, args, num_calls));
+      evaluator.EvaluateFunctionBulk(module, def, std::move(args), num_calls));
 
   std::vector<xdm::Sequence> out(static_cast<size_t>(num_calls));
   for (size_t i = 0; i < result.NumRows(); ++i) {

@@ -2,30 +2,64 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string_view>
 
 #include "base/string_util.h"
 
 namespace xrpc::net {
 
+namespace {
+
+// The envelope head: env:Header and the xrpc:request start tag, i.e. all
+// text before the first parameter. The sniffers below read only the head:
+// parameters are data, and a parameter may spell out any header or
+// attribute text. A quoted attribute value may hold '>' (the codec
+// escapes '<', '&' and '"' only), so the start tag ends at the first '>'
+// outside quotes.
+std::string_view EnvelopeHead(std::string_view body) {
+  size_t pos = body.find("<env:Body");
+  if (pos == std::string_view::npos) return body;
+  pos = body.find('>', pos);
+  if (pos == std::string_view::npos) return body;
+  ++pos;
+  if (body.substr(pos, 13) != "<xrpc:request") return body.substr(0, pos);
+  char quote = 0;
+  for (size_t i = pos; i < body.size(); ++i) {
+    const char c = body[i];
+    if (quote != 0) {
+      if (c == quote) quote = 0;
+    } else if (c == '"' || c == '\'') {
+      quote = c;
+    } else if (c == '>') {
+      return body.substr(0, i + 1);
+    }
+  }
+  return body.substr(0, pos);
+}
+
+}  // namespace
+
 bool RetryingTransport::IsUpdatingEnvelope(const std::string& body) {
   // The SOAP codec emits the XQUF marker as an attribute of xrpc:request;
   // both quote styles are accepted on the wire.
-  return body.find("updCall=\"true\"") != std::string::npos ||
-         body.find("updCall='true'") != std::string::npos;
+  const std::string_view head = EnvelopeHead(body);
+  return head.find("updCall=\"true\"") != std::string_view::npos ||
+         head.find("updCall='true'") != std::string_view::npos;
 }
 
 std::optional<int64_t> RetryingTransport::ExtractDeadlineMicros(
     const std::string& body) {
-  // Cheap substring sniff of the serialized envelope, mirroring
+  // Cheap substring sniff of the serialized envelope head, mirroring
   // IsUpdatingEnvelope: the transport must not pay for a full XML parse on
   // every attempt. The authoritative validation lives in ParseRequest.
-  size_t tag = body.find("<xrpc:deadline");
-  if (tag == std::string::npos) return std::nullopt;
-  size_t open_end = body.find('>', tag);
-  if (open_end == std::string::npos) return std::nullopt;
-  size_t close = body.find('<', open_end + 1);
-  if (close == std::string::npos) return std::nullopt;
-  auto value = ParseInt64(body.substr(open_end + 1, close - open_end - 1));
+  const std::string_view head = EnvelopeHead(body);
+  size_t tag = head.find("<xrpc:deadline");
+  if (tag == std::string_view::npos) return std::nullopt;
+  size_t open_end = head.find('>', tag);
+  if (open_end == std::string_view::npos) return std::nullopt;
+  size_t close = head.find('<', open_end + 1);
+  if (close == std::string_view::npos) return std::nullopt;
+  auto value = ParseInt64(head.substr(open_end + 1, close - open_end - 1));
   if (!value.ok() || *value < 0) return std::nullopt;
   return *value;
 }

@@ -4,319 +4,355 @@
 
 #include "base/string_util.h"
 #include "soap/marshal.h"
-#include "xml/parser.h"
 #include "xml/serializer.h"
 
 namespace xrpc::soap {
 
 namespace {
 
-using xml::Node;
-using xml::NodeKind;
-using xml::NodePtr;
-using xml::QName;
+using xml::XmlReader;
 
-QName EnvName(const char* local) {
-  return QName(xml::kSoapEnvelopeNs, local, "env");
-}
-QName XrpcName(const char* local) { return QName(xml::kXrpcNs, local, "xrpc"); }
+// The fixed framing of every envelope: the XML declaration and the
+// env:Envelope start tag, which binds `env` and `xsi`. `xrpc` is declared
+// on the header entries and on the body's payload element.
+constexpr std::string_view kEnvelopeStart =
+    "<?xml version=\"1.0\" encoding=\"utf-8\"?>"
+    "<env:Envelope xmlns:env=\"http://www.w3.org/2003/05/soap-envelope\""
+    " xmlns:xsi=\"http://www.w3.org/2001/XMLSchema-instance\""
+    " xsi:schemaLocation=\"http://monetdb.cwi.nl/XQuery"
+    " http://monetdb.cwi.nl/XQuery/XRPC.xsd\">";
+constexpr std::string_view kXrpcDeclaration =
+    " xmlns:xrpc=\"http://monetdb.cwi.nl/XQuery\"";
+constexpr std::string_view kEnvelopeEnd = "</env:Body></env:Envelope>";
 
-NodePtr NewEnvelope(NodePtr body_content, NodePtr header = nullptr) {
-  NodePtr envelope = Node::NewElement(EnvName("Envelope"));
-  envelope->SetAttribute(Node::NewAttribute(
-      QName(xml::kXsiNs, "schemaLocation", "xsi"),
-      "http://monetdb.cwi.nl/XQuery http://monetdb.cwi.nl/XQuery/XRPC.xsd"));
-  if (header != nullptr) envelope->AppendChild(std::move(header));
-  NodePtr body = Node::NewElement(EnvName("Body"));
-  body->AppendChild(std::move(body_content));
-  envelope->AppendChild(std::move(body));
-  NodePtr doc = Node::NewDocument();
-  doc->AppendChild(std::move(envelope));
-  return doc;
-}
-
-std::string SerializeEnvelope(const NodePtr& doc) {
-  xml::SerializeOptions opts;
-  opts.xml_declaration = true;
-  return xml::SerializeNode(*doc, opts);
+// Writes node items inside the payload element, where env, xsi and xrpc
+// are in scope.
+xml::NodeWriter PayloadWriter(std::string* out) {
+  return xml::NodeWriter(out, {{"env", xml::kSoapEnvelopeNs},
+                               {"xsi", xml::kXsiNs},
+                               {"xrpc", xml::kXrpcNs}});
 }
 
-// Locates env:Envelope/env:Header; nullptr when the envelope carries none
-// (a malformed envelope also yields nullptr — FindBodyChild reports it).
-const Node* FindHeader(const Node& doc) {
-  const Node* envelope = nullptr;
-  for (const NodePtr& c : doc.children()) {
-    if (c->kind() == NodeKind::kElement) envelope = c.get();
-  }
-  if (envelope == nullptr || envelope->name() != EnvName("Envelope")) {
-    return nullptr;
-  }
-  for (const NodePtr& c : envelope->children()) {
-    if (c->kind() == NodeKind::kElement && c->name() == EnvName("Header")) {
-      return c.get();
-    }
-  }
-  return nullptr;
+void AppendAttribute(std::string_view name, std::string_view value,
+                     std::string* out) {
+  out->push_back(' ');
+  out->append(name);
+  out->append("=\"");
+  xml::AppendEscapedAttribute(value, out);
+  out->push_back('"');
 }
 
-// Locates env:Envelope/env:Body and returns its single element child.
-StatusOr<const Node*> FindBodyChild(const Node& doc) {
-  const Node* envelope = nullptr;
-  for (const NodePtr& c : doc.children()) {
-    if (c->kind() == NodeKind::kElement) envelope = c.get();
-  }
-  if (envelope == nullptr || envelope->name() != EnvName("Envelope")) {
+// A first guess at the envelope size, so that most envelopes are written
+// without regrowing the buffer: framing plus about 40 bytes per call,
+// sequence and item (an integer atomic value takes 60).
+size_t EstimateSize(size_t items) {
+  return kEnvelopeStart.size() + 256 + 40 * items;
+}
+
+size_t CountItems(const std::vector<xdm::Sequence>& sequences) {
+  size_t items = sequences.size();
+  for (const xdm::Sequence& s : sequences) items += s.size();
+  return items;
+}
+
+// Reads the envelope up to the start tag of the element inside env:Body,
+// handing each env:Header entry to `on_header`, which reads it through its
+// end tag.
+template <typename OnHeader>
+Status OpenBody(XmlReader& reader, OnHeader on_header) {
+  XRPC_ASSIGN_OR_RETURN(bool root, NextChildElement(reader));
+  if (!root || !reader.name().Is(xml::kSoapEnvelopeNs, "Envelope")) {
     return Status::InvalidArgument("SOAP: missing env:Envelope");
   }
-  const Node* body = nullptr;
-  for (const NodePtr& c : envelope->children()) {
-    if (c->kind() == NodeKind::kElement && c->name() == EnvName("Body")) {
-      body = c.get();
+  while (true) {
+    XRPC_ASSIGN_OR_RETURN(bool child, NextChildElement(reader));
+    if (!child) return Status::InvalidArgument("SOAP: missing env:Body");
+    if (reader.name().Is(xml::kSoapEnvelopeNs, "Header")) {
+      while (true) {
+        XRPC_ASSIGN_OR_RETURN(bool entry, NextChildElement(reader));
+        if (!entry) break;
+        XRPC_RETURN_IF_ERROR(on_header(reader));
+      }
+    } else if (reader.name().Is(xml::kSoapEnvelopeNs, "Body")) {
+      XRPC_ASSIGN_OR_RETURN(bool payload, NextChildElement(reader));
+      if (!payload) return Status::InvalidArgument("SOAP: empty env:Body");
+      return Status::OK();
+    } else {
+      XRPC_RETURN_IF_ERROR(reader.Skip());
     }
   }
-  if (body == nullptr) return Status::InvalidArgument("SOAP: missing env:Body");
-  for (const NodePtr& c : body->children()) {
-    if (c->kind() == NodeKind::kElement) return c.get();
-  }
-  return Status::InvalidArgument("SOAP: empty env:Body");
 }
 
-StatusOr<Fault> ParseFaultElement(const Node& fault) {
+// Reads what follows the payload, so that only a whole, well-formed
+// envelope is accepted.
+Status Finish(XmlReader& reader) {
+  while (true) {
+    XRPC_ASSIGN_OR_RETURN(XmlReader::Token token, reader.Next());
+    if (token == XmlReader::Token::kEnd) return Status::OK();
+  }
+}
+
+// Header extensions: xrpc:deadline carries the remaining time budget and
+// xrpc:shard the routing scope; unrecognized entries are ignored
+// (mustUnderstand-free extensibility, so newer clients interoperate with
+// this peer too).
+Status ReadRequestHeader(XmlReader& reader, XrpcRequest* out) {
+  if (reader.name().Is(xml::kXrpcNs, "deadline")) {
+    XRPC_ASSIGN_OR_RETURN(std::string text, ReadStringValue(reader));
+    auto budget = ParseInt64(text);
+    if (!budget.ok() || budget.value() < 0) {
+      return Status::InvalidArgument("SOAP: malformed xrpc:deadline header: \"" +
+                                     text +
+                                     "\" (expected non-negative micros)");
+    }
+    out->deadline_us = budget.value();
+    return Status::OK();
+  }
+  if (!reader.name().Is(xml::kXrpcNs, "shard")) return reader.Skip();
+  XrpcRequest::ShardScope scope;
+  const auto* col = reader.FindAttribute("", "collection");
+  const auto* idx = reader.FindAttribute("", "index");
+  const auto* ver = reader.FindAttribute("", "catalog-version");
+  if (col == nullptr || idx == nullptr || ver == nullptr) {
+    return Status::InvalidArgument(
+        "SOAP: xrpc:shard header lacks collection/index/catalog-version");
+  }
+  scope.collection = col->value;
+  auto index = ParseInt64(idx->value);
+  auto version = ParseInt64(ver->value);
+  if (scope.collection.empty() || !index.ok() || index.value() < 0 ||
+      !version.ok() || version.value() < 0) {
+    return Status::InvalidArgument(
+        "SOAP: malformed xrpc:shard header (collection=\"" + scope.collection +
+        "\" index=\"" + std::string(idx->value) + "\" catalog-version=\"" +
+        std::string(ver->value) + "\")");
+  }
+  scope.shard_index = static_cast<int>(index.value());
+  scope.catalog_version = version.value();
+  // data-version is optional: requests from pre-versioning senders carry no
+  // attribute and parse as 0 (fence disabled).
+  if (const auto* dv = reader.FindAttribute("", "data-version")) {
+    auto data_version = ParseInt64(dv->value);
+    if (!data_version.ok() || data_version.value() < 0) {
+      return Status::InvalidArgument(
+          "SOAP: malformed xrpc:shard data-version: \"" +
+          std::string(dv->value) + "\"");
+    }
+    scope.data_version = static_cast<uint64_t>(data_version.value());
+  }
+  out->shard = std::move(scope);
+  return reader.Skip();
+}
+
+StatusOr<Fault> ReadFault(XmlReader& reader) {
   Fault out;
-  for (const NodePtr& c : fault.children()) {
-    if (c->kind() != NodeKind::kElement) continue;
-    if (c->name() == EnvName("Code")) {
-      for (const NodePtr& v : c->children()) {
-        if (v->kind() == NodeKind::kElement && v->name() == EnvName("Value")) {
-          out.code = v->StringValue();
-        }
+  while (true) {
+    XRPC_ASSIGN_OR_RETURN(bool part, NextChildElement(reader));
+    if (!part) return out;
+    const bool code = reader.name().Is(xml::kSoapEnvelopeNs, "Code");
+    if (!code && !reader.name().Is(xml::kSoapEnvelopeNs, "Reason")) {
+      XRPC_RETURN_IF_ERROR(reader.Skip());
+      continue;
+    }
+    const char* leaf = code ? "Value" : "Text";
+    while (true) {
+      XRPC_ASSIGN_OR_RETURN(bool entry, NextChildElement(reader));
+      if (!entry) break;
+      if (!reader.name().Is(xml::kSoapEnvelopeNs, leaf)) {
+        XRPC_RETURN_IF_ERROR(reader.Skip());
+        continue;
       }
-    } else if (c->name() == EnvName("Reason")) {
-      for (const NodePtr& t : c->children()) {
-        if (t->kind() == NodeKind::kElement && t->name() == EnvName("Text")) {
-          out.reason = t->StringValue();
-        }
-      }
+      XRPC_ASSIGN_OR_RETURN(std::string value, ReadStringValue(reader));
+      (code ? out.code : out.reason) = std::move(value);
     }
   }
-  return out;
 }
 
 }  // namespace
 
 std::string SerializeRequest(const XrpcRequest& request) {
-  NodePtr req = Node::NewElement(XrpcName("request"));
-  req->SetAttribute(Node::NewAttribute(QName("module"), request.module_ns));
-  req->SetAttribute(Node::NewAttribute(QName("method"), request.method));
-  req->SetAttribute(
-      Node::NewAttribute(QName("arity"), std::to_string(request.arity)));
-  if (!request.location.empty()) {
-    req->SetAttribute(Node::NewAttribute(QName("location"), request.location));
-  }
-  if (request.updating) {
-    req->SetAttribute(Node::NewAttribute(QName("updCall"), "true"));
-  }
-  req->SetAttribute(Node::NewAttribute(QName("iter-count"),
-                                       std::to_string(request.calls.size())));
-  if (request.query_id.has_value()) {
-    const QueryId& q = *request.query_id;
-    NodePtr qid = Node::NewElement(XrpcName("queryID"));
-    qid->SetAttribute(Node::NewAttribute(QName("host"), q.host));
-    qid->SetAttribute(Node::NewAttribute(QName("timestamp"),
-                                         std::to_string(q.timestamp)));
-    qid->SetAttribute(
-        Node::NewAttribute(QName("timeout"), std::to_string(q.timeout_sec)));
-    qid->AppendChild(Node::NewText(q.id));
-    req->AppendChild(std::move(qid));
-  }
+  size_t items = request.calls.size();
   for (const std::vector<xdm::Sequence>& call : request.calls) {
-    NodePtr call_elem = Node::NewElement(XrpcName("call"));
-    for (const xdm::Sequence& param : call) {
-      call_elem->AppendChild(SequenceToNode(param));
-    }
-    req->AppendChild(std::move(call_elem));
+    items += CountItems(call);
   }
-  NodePtr header;
+  std::string out;
+  out.reserve(EstimateSize(items));
+  out.append(kEnvelopeStart);
   if (request.deadline_us.has_value() || request.shard.has_value()) {
-    header = Node::NewElement(EnvName("Header"));
-  }
-  if (request.deadline_us.has_value()) {
-    NodePtr deadline = Node::NewElement(XrpcName("deadline"));
-    deadline->AppendChild(Node::NewText(std::to_string(*request.deadline_us)));
-    header->AppendChild(std::move(deadline));
-  }
-  if (request.shard.has_value()) {
-    const XrpcRequest::ShardScope& scope = *request.shard;
-    NodePtr shard = Node::NewElement(XrpcName("shard"));
-    shard->SetAttribute(
-        Node::NewAttribute(QName("collection"), scope.collection));
-    shard->SetAttribute(
-        Node::NewAttribute(QName("index"), std::to_string(scope.shard_index)));
-    shard->SetAttribute(Node::NewAttribute(
-        QName("catalog-version"), std::to_string(scope.catalog_version)));
-    if (scope.data_version > 0) {
-      shard->SetAttribute(Node::NewAttribute(
-          QName("data-version"), std::to_string(scope.data_version)));
+    out.append("<env:Header>");
+    if (request.deadline_us.has_value()) {
+      out.append("<xrpc:deadline");
+      out.append(kXrpcDeclaration);
+      out.push_back('>');
+      out.append(std::to_string(*request.deadline_us));
+      out.append("</xrpc:deadline>");
     }
-    header->AppendChild(std::move(shard));
+    if (request.shard.has_value()) {
+      const XrpcRequest::ShardScope& scope = *request.shard;
+      out.append("<xrpc:shard");
+      out.append(kXrpcDeclaration);
+      AppendAttribute("collection", scope.collection, &out);
+      AppendAttribute("index", std::to_string(scope.shard_index), &out);
+      AppendAttribute("catalog-version", std::to_string(scope.catalog_version),
+                      &out);
+      if (scope.data_version > 0) {
+        AppendAttribute("data-version", std::to_string(scope.data_version),
+                        &out);
+      }
+      out.append("/>");
+    }
+    out.append("</env:Header>");
   }
-  return SerializeEnvelope(NewEnvelope(std::move(req), std::move(header)));
+  out.append("<env:Body><xrpc:request");
+  out.append(kXrpcDeclaration);
+  AppendAttribute("module", request.module_ns, &out);
+  AppendAttribute("method", request.method, &out);
+  AppendAttribute("arity", std::to_string(request.arity), &out);
+  if (!request.location.empty()) {
+    AppendAttribute("location", request.location, &out);
+  }
+  if (request.updating) AppendAttribute("updCall", "true", &out);
+  AppendAttribute("iter-count", std::to_string(request.calls.size()), &out);
+  if (!request.query_id.has_value() && request.calls.empty()) {
+    out.append("/>");
+  } else {
+    out.push_back('>');
+    if (request.query_id.has_value()) {
+      const QueryId& q = *request.query_id;
+      out.append("<xrpc:queryID");
+      AppendAttribute("host", q.host, &out);
+      AppendAttribute("timestamp", std::to_string(q.timestamp), &out);
+      AppendAttribute("timeout", std::to_string(q.timeout_sec), &out);
+      out.push_back('>');
+      xml::AppendEscapedText(q.id, &out);
+      out.append("</xrpc:queryID>");
+    }
+    xml::NodeWriter writer = PayloadWriter(&out);
+    for (const std::vector<xdm::Sequence>& call : request.calls) {
+      if (call.empty()) {
+        out.append("<xrpc:call/>");
+        continue;
+      }
+      out.append("<xrpc:call>");
+      for (const xdm::Sequence& param : call) WriteSequence(param, writer);
+      out.append("</xrpc:call>");
+    }
+    out.append("</xrpc:request>");
+  }
+  out.append(kEnvelopeEnd);
+  return out;
 }
 
 StatusOr<XrpcRequest> ParseRequest(std::string_view text) {
-  xml::ParseOptions opts;
-  opts.strip_ignorable_whitespace = true;
-  XRPC_ASSIGN_OR_RETURN(NodePtr doc, xml::ParseXml(text, opts));
-  XRPC_ASSIGN_OR_RETURN(const Node* req, FindBodyChild(*doc));
-  if (req->name() != XrpcName("request")) {
-    return Status::InvalidArgument("SOAP: expected xrpc:request, got " +
-                                   req->name().Clark());
-  }
+  XmlReader reader(text, XmlReader::Mode::kDocument);
   XrpcRequest out;
-  // Header extensions: xrpc:deadline carries the remaining time budget;
-  // unrecognized header children are ignored (mustUnderstand-free
-  // extensibility, so newer clients interoperate with this peer too).
-  if (const Node* header = FindHeader(*doc)) {
-    for (const NodePtr& c : header->children()) {
-      if (c->kind() != NodeKind::kElement) continue;
-      if (c->name() == XrpcName("deadline")) {
-        auto budget = ParseInt64(c->StringValue());
-        if (!budget.ok() || budget.value() < 0) {
-          return Status::InvalidArgument(
-              "SOAP: malformed xrpc:deadline header: \"" + c->StringValue() +
-              "\" (expected non-negative micros)");
-        }
-        out.deadline_us = budget.value();
-        continue;
-      }
-      if (c->name() == XrpcName("shard")) {
-        XrpcRequest::ShardScope scope;
-        const Node* col = c->FindAttribute(QName("collection"));
-        const Node* idx = c->FindAttribute(QName("index"));
-        const Node* ver = c->FindAttribute(QName("catalog-version"));
-        if (col == nullptr || idx == nullptr || ver == nullptr) {
-          return Status::InvalidArgument(
-              "SOAP: xrpc:shard header lacks collection/index/"
-              "catalog-version");
-        }
-        scope.collection = col->value();
-        auto index = ParseInt64(idx->value());
-        auto version = ParseInt64(ver->value());
-        if (scope.collection.empty() || !index.ok() || index.value() < 0 ||
-            !version.ok() || version.value() < 0) {
-          return Status::InvalidArgument(
-              "SOAP: malformed xrpc:shard header (collection=\"" +
-              scope.collection + "\" index=\"" + idx->value() +
-              "\" catalog-version=\"" + ver->value() + "\")");
-        }
-        scope.shard_index = static_cast<int>(index.value());
-        scope.catalog_version = version.value();
-        // data-version is optional: requests from pre-versioning senders
-        // carry no attribute and parse as 0 (fence disabled).
-        if (const Node* dv = c->FindAttribute(QName("data-version"))) {
-          auto data_version = ParseInt64(dv->value());
-          if (!data_version.ok() || data_version.value() < 0) {
-            return Status::InvalidArgument(
-                "SOAP: malformed xrpc:shard data-version: \"" + dv->value() +
-                "\"");
-          }
-          scope.data_version = static_cast<uint64_t>(data_version.value());
-        }
-        out.shard = std::move(scope);
-        continue;
-      }
+  XRPC_RETURN_IF_ERROR(OpenBody(
+      reader, [&](XmlReader& r) { return ReadRequestHeader(r, &out); }));
+  if (!reader.name().Is(xml::kXrpcNs, "request")) {
+    return Status::InvalidArgument("SOAP: expected xrpc:request, got " +
+                                   reader.name().Clark());
+  }
+  for (const XmlReader::Attribute& a : reader.attributes()) {
+    if (!a.name.uri.empty()) continue;
+    const std::string_view name = a.name.local;
+    if (name == "module") {
+      out.module_ns = a.value;
+    } else if (name == "method") {
+      out.method = a.value;
+    } else if (name == "location") {
+      out.location = a.value;
+    } else if (name == "arity") {
+      XRPC_ASSIGN_OR_RETURN(int64_t arity, ParseInt64(a.value));
+      out.arity = static_cast<size_t>(arity);
+    } else if (name == "updCall") {
+      out.updating = a.value == "true" || a.value == "1";
     }
   }
-  if (const Node* a = req->FindAttribute(QName("module"))) {
-    out.module_ns = a->value();
-  }
-  if (const Node* a = req->FindAttribute(QName("method"))) {
-    out.method = a->value();
-  }
-  if (const Node* a = req->FindAttribute(QName("location"))) {
-    out.location = a->value();
-  }
-  if (const Node* a = req->FindAttribute(QName("arity"))) {
-    XRPC_ASSIGN_OR_RETURN(int64_t arity, ParseInt64(a->value()));
-    out.arity = static_cast<size_t>(arity);
-  }
-  if (const Node* a = req->FindAttribute(QName("updCall"))) {
-    out.updating = a->value() == "true" || a->value() == "1";
-  }
-  for (const NodePtr& child : req->children()) {
-    if (child->kind() != NodeKind::kElement) continue;
-    if (child->name() == XrpcName("queryID")) {
+  while (true) {
+    XRPC_ASSIGN_OR_RETURN(bool child, NextChildElement(reader));
+    if (!child) break;
+    if (reader.name().Is(xml::kXrpcNs, "queryID")) {
       QueryId q;
-      q.id = child->StringValue();
-      if (const Node* a = child->FindAttribute(QName("host"))) {
-        q.host = a->value();
-      }
-      if (const Node* a = child->FindAttribute(QName("timestamp"))) {
-        auto ts = ParseInt64(a->value());
+      if (const auto* a = reader.FindAttribute("", "host")) q.host = a->value;
+      if (const auto* a = reader.FindAttribute("", "timestamp")) {
+        auto ts = ParseInt64(a->value);
         if (ts.ok()) q.timestamp = ts.value();
       }
-      if (const Node* a = child->FindAttribute(QName("timeout"))) {
-        auto t = ParseInt64(a->value());
+      if (const auto* a = reader.FindAttribute("", "timeout")) {
+        auto t = ParseInt64(a->value);
         if (t.ok()) q.timeout_sec = t.value();
       }
+      XRPC_ASSIGN_OR_RETURN(q.id, ReadStringValue(reader));
       out.query_id = std::move(q);
       continue;
     }
-    if (child->name() == XrpcName("call")) {
-      std::vector<xdm::Sequence> params;
-      for (const NodePtr& seq : child->children()) {
-        if (seq->kind() != NodeKind::kElement) continue;
-        XRPC_ASSIGN_OR_RETURN(xdm::Sequence param, NodeToSequence(*seq));
-        params.push_back(std::move(param));
-      }
-      if (params.size() != out.arity) {
-        return Status::InvalidArgument(
-            "SOAP: call has " + std::to_string(params.size()) +
-            " parameters, expected arity " + std::to_string(out.arity));
-      }
-      out.calls.push_back(std::move(params));
+    if (!reader.name().Is(xml::kXrpcNs, "call")) {
+      XRPC_RETURN_IF_ERROR(reader.Skip());
+      continue;
     }
+    std::vector<xdm::Sequence> params;
+    while (true) {
+      XRPC_ASSIGN_OR_RETURN(bool param, NextChildElement(reader));
+      if (!param) break;
+      XRPC_ASSIGN_OR_RETURN(xdm::Sequence seq, ReadSequence(reader));
+      params.push_back(std::move(seq));
+    }
+    if (params.size() != out.arity) {
+      return Status::InvalidArgument(
+          "SOAP: call has " + std::to_string(params.size()) +
+          " parameters, expected arity " + std::to_string(out.arity));
+    }
+    out.calls.push_back(std::move(params));
   }
   if (out.calls.empty()) {
     return Status::InvalidArgument("SOAP: request has no calls");
   }
+  XRPC_RETURN_IF_ERROR(Finish(reader));
   return out;
 }
 
 std::string SerializeResponse(const XrpcResponse& response) {
-  NodePtr resp = Node::NewElement(XrpcName("response"));
-  resp->SetAttribute(Node::NewAttribute(QName("module"), response.module_ns));
-  resp->SetAttribute(Node::NewAttribute(QName("method"), response.method));
-  for (const xdm::Sequence& result : response.results) {
-    resp->AppendChild(SequenceToNode(result));
-  }
-  if (!response.participating_peers.empty()) {
-    NodePtr peers = Node::NewElement(XrpcName("participatingPeers"));
-    for (const std::string& uri : response.participating_peers) {
-      NodePtr p = Node::NewElement(XrpcName("peer"));
-      p->SetAttribute(Node::NewAttribute(QName("uri"), uri));
-      peers->AppendChild(std::move(p));
+  std::string out;
+  out.reserve(EstimateSize(CountItems(response.results)));
+  out.append(kEnvelopeStart);
+  out.append("<env:Body><xrpc:response");
+  out.append(kXrpcDeclaration);
+  AppendAttribute("module", response.module_ns, &out);
+  AppendAttribute("method", response.method, &out);
+  if (response.results.empty() && response.participating_peers.empty()) {
+    out.append("/>");
+  } else {
+    out.push_back('>');
+    xml::NodeWriter writer = PayloadWriter(&out);
+    for (const xdm::Sequence& result : response.results) {
+      WriteSequence(result, writer);
     }
-    resp->AppendChild(std::move(peers));
+    if (!response.participating_peers.empty()) {
+      out.append("<xrpc:participatingPeers>");
+      for (const std::string& uri : response.participating_peers) {
+        out.append("<xrpc:peer");
+        AppendAttribute("uri", uri, &out);
+        out.append("/>");
+      }
+      out.append("</xrpc:participatingPeers>");
+    }
+    out.append("</xrpc:response>");
   }
-  return SerializeEnvelope(NewEnvelope(std::move(resp)));
+  out.append(kEnvelopeEnd);
+  return out;
 }
 
 std::string SerializeFault(const Fault& fault) {
-  NodePtr f = Node::NewElement(EnvName("Fault"));
-  NodePtr code = Node::NewElement(EnvName("Code"));
-  NodePtr value = Node::NewElement(EnvName("Value"));
-  value->AppendChild(Node::NewText(fault.code));
-  code->AppendChild(std::move(value));
-  f->AppendChild(std::move(code));
-  NodePtr reason = Node::NewElement(EnvName("Reason"));
-  NodePtr text = Node::NewElement(EnvName("Text"));
-  text->SetAttribute(Node::NewAttribute(
-      QName("http://www.w3.org/XML/1998/namespace", "lang", "xml"), "en"));
-  text->AppendChild(Node::NewText(fault.reason));
-  reason->AppendChild(std::move(text));
-  f->AppendChild(std::move(reason));
-  return SerializeEnvelope(NewEnvelope(std::move(f)));
+  std::string out;
+  out.reserve(kEnvelopeStart.size() + 256 + fault.reason.size());
+  out.append(kEnvelopeStart);
+  out.append("<env:Body><env:Fault><env:Code><env:Value>");
+  xml::AppendEscapedText(fault.code, &out);
+  out.append("</env:Value></env:Code><env:Reason><env:Text xml:lang=\"en\">");
+  xml::AppendEscapedText(fault.reason, &out);
+  out.append("</env:Text></env:Reason></env:Fault>");
+  out.append(kEnvelopeEnd);
+  return out;
 }
 
 Fault FaultFromStatus(const Status& status) {
@@ -368,39 +404,43 @@ Status StatusFromFault(const Fault& fault) {
 }
 
 StatusOr<XrpcResponse> ParseResponse(std::string_view text) {
-  xml::ParseOptions opts;
-  opts.strip_ignorable_whitespace = true;
-  XRPC_ASSIGN_OR_RETURN(NodePtr doc, xml::ParseXml(text, opts));
-  XRPC_ASSIGN_OR_RETURN(const Node* child, FindBodyChild(*doc));
-  if (child->name() == EnvName("Fault")) {
-    XRPC_ASSIGN_OR_RETURN(Fault fault, ParseFaultElement(*child));
+  XmlReader reader(text, XmlReader::Mode::kDocument);
+  XRPC_RETURN_IF_ERROR(
+      OpenBody(reader, [](XmlReader& r) { return r.Skip(); }));
+  if (reader.name().Is(xml::kSoapEnvelopeNs, "Fault")) {
+    XRPC_ASSIGN_OR_RETURN(Fault fault, ReadFault(reader));
+    XRPC_RETURN_IF_ERROR(Finish(reader));
     return StatusFromFault(fault);
   }
-  if (child->name() != XrpcName("response")) {
+  if (!reader.name().Is(xml::kXrpcNs, "response")) {
     return Status::InvalidArgument("SOAP: expected xrpc:response, got " +
-                                   child->name().Clark());
+                                   reader.name().Clark());
   }
   XrpcResponse out;
-  if (const Node* a = child->FindAttribute(QName("module"))) {
-    out.module_ns = a->value();
+  if (const auto* a = reader.FindAttribute("", "module")) {
+    out.module_ns = a->value;
   }
-  if (const Node* a = child->FindAttribute(QName("method"))) {
-    out.method = a->value();
-  }
-  for (const NodePtr& c : child->children()) {
-    if (c->kind() != NodeKind::kElement) continue;
-    if (c->name() == XrpcName("sequence")) {
-      XRPC_ASSIGN_OR_RETURN(xdm::Sequence result, NodeToSequence(*c));
+  if (const auto* a = reader.FindAttribute("", "method")) out.method = a->value;
+  while (true) {
+    XRPC_ASSIGN_OR_RETURN(bool child, NextChildElement(reader));
+    if (!child) break;
+    if (reader.name().Is(xml::kXrpcNs, "sequence")) {
+      XRPC_ASSIGN_OR_RETURN(xdm::Sequence result, ReadSequence(reader));
       out.results.push_back(std::move(result));
-    } else if (c->name() == XrpcName("participatingPeers")) {
-      for (const NodePtr& p : c->children()) {
-        if (p->kind() != NodeKind::kElement) continue;
-        if (const Node* a = p->FindAttribute(QName("uri"))) {
-          out.participating_peers.push_back(a->value());
+    } else if (reader.name().Is(xml::kXrpcNs, "participatingPeers")) {
+      while (true) {
+        XRPC_ASSIGN_OR_RETURN(bool peer, NextChildElement(reader));
+        if (!peer) break;
+        if (const auto* a = reader.FindAttribute("", "uri")) {
+          out.participating_peers.emplace_back(a->value);
         }
+        XRPC_RETURN_IF_ERROR(reader.Skip());
       }
+    } else {
+      XRPC_RETURN_IF_ERROR(reader.Skip());
     }
   }
+  XRPC_RETURN_IF_ERROR(Finish(reader));
   return out;
 }
 

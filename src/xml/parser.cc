@@ -1,427 +1,77 @@
 #include "xml/parser.h"
 
-#include <cstdint>
-#include <map>
+#include <string>
 #include <vector>
-
-#include "base/string_util.h"
 
 namespace xrpc::xml {
 
 namespace {
 
-bool IsNameStartChar(char c) {
-  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_' ||
-         c == ':' || static_cast<unsigned char>(c) >= 0x80;
+NodePtr NewElement(const XmlReader& reader) {
+  NodePtr elem = Node::NewElement(reader.name().ToQName());
+  for (const XmlReader::Attribute& a : reader.attributes()) {
+    elem->SetAttribute(
+        Node::NewAttribute(a.name.ToQName(), std::string(a.value)));
+  }
+  return elem;
 }
-
-bool IsNameChar(char c) {
-  return IsNameStartChar(c) || (c >= '0' && c <= '9') || c == '-' || c == '.';
-}
-
-// One namespace scope frame: prefix -> URI bindings introduced by an element.
-using NsBindings = std::vector<std::pair<std::string, std::string>>;
-
-class Parser {
- public:
-  Parser(std::string_view input, const ParseOptions& options)
-      : in_(input), options_(options) {
-    // Root namespace scope: the reserved xml prefix.
-    scopes_.push_back({{"xml", "http://www.w3.org/XML/1998/namespace"}});
-  }
-
-  StatusOr<NodePtr> ParseDocument() {
-    NodePtr doc = Node::NewDocument();
-    XRPC_RETURN_IF_ERROR(ParseProlog());
-    XRPC_RETURN_IF_ERROR(ParseContent(doc.get(), /*top_level=*/true));
-    SkipMisc();
-    if (pos_ != in_.size()) {
-      return Error("unexpected content after document element");
-    }
-    bool has_element = false;
-    for (const NodePtr& c : doc->children()) {
-      if (c->kind() == NodeKind::kElement) has_element = true;
-    }
-    if (!has_element) return Error("no document element");
-    return doc;
-  }
-
-  StatusOr<NodePtr> ParseFragment() {
-    NodePtr doc = Node::NewDocument();
-    XRPC_RETURN_IF_ERROR(ParseContent(doc.get(), /*top_level=*/false));
-    if (pos_ != in_.size()) return Error("unexpected trailing content");
-    return doc;
-  }
-
- private:
-  Status Error(const std::string& msg) {
-    // Report 1-based line for diagnostics.
-    int line = 1;
-    for (size_t i = 0; i < pos_ && i < in_.size(); ++i) {
-      if (in_[i] == '\n') ++line;
-    }
-    return Status::ParseError("XML parse error at line " +
-                              std::to_string(line) + ": " + msg);
-  }
-
-  bool Eof() const { return pos_ >= in_.size(); }
-  char Peek() const { return pos_ < in_.size() ? in_[pos_] : '\0'; }
-  bool Lookahead(std::string_view s) const {
-    return in_.substr(pos_, s.size()) == s;
-  }
-  bool Consume(std::string_view s) {
-    if (!Lookahead(s)) return false;
-    pos_ += s.size();
-    return true;
-  }
-  void SkipWs() {
-    while (pos_ < in_.size() && IsXmlWhitespace(in_[pos_])) ++pos_;
-  }
-
-  Status ParseProlog() {
-    if (Consume("\xEF\xBB\xBF")) {
-      // UTF-8 byte order mark.
-    }
-    SkipWs();
-    if (Lookahead("<?xml")) {
-      size_t end = in_.find("?>", pos_);
-      if (end == std::string_view::npos) return Error("unterminated XML decl");
-      pos_ = end + 2;
-    }
-    SkipMisc();
-    if (Lookahead("<!DOCTYPE")) {
-      // Skip to matching '>' honoring an optional internal subset [...].
-      int depth = 0;
-      while (pos_ < in_.size()) {
-        char c = in_[pos_++];
-        if (c == '[') ++depth;
-        if (c == ']') --depth;
-        if (c == '>' && depth == 0) break;
-      }
-      SkipMisc();
-    }
-    return Status::OK();
-  }
-
-  // Skips whitespace, comments and PIs at the document level (discarded).
-  void SkipMisc() {
-    while (true) {
-      SkipWs();
-      if (Lookahead("<!--")) {
-        size_t end = in_.find("-->", pos_);
-        if (end == std::string_view::npos) {
-          pos_ = in_.size();
-          return;
-        }
-        pos_ = end + 3;
-      } else if (Lookahead("<?")) {
-        size_t end = in_.find("?>", pos_);
-        if (end == std::string_view::npos) {
-          pos_ = in_.size();
-          return;
-        }
-        pos_ = end + 2;
-      } else {
-        return;
-      }
-    }
-  }
-
-  // Parses element content (or top-level content) into `parent`.
-  Status ParseContent(Node* parent, bool top_level) {
-    std::string text;
-    auto flush_text = [&]() {
-      if (text.empty()) return;
-      bool all_ws = true;
-      for (char c : text) {
-        if (!IsXmlWhitespace(c)) {
-          all_ws = false;
-          break;
-        }
-      }
-      bool drop = all_ws && (top_level || options_.strip_ignorable_whitespace);
-      if (!drop) parent->AppendChild(Node::NewText(std::move(text)));
-      text.clear();
-    };
-
-    while (!Eof()) {
-      if (Lookahead("</")) {
-        flush_text();
-        return Status::OK();
-      }
-      if (Lookahead("<!--")) {
-        flush_text();
-        size_t end = in_.find("-->", pos_ + 4);
-        if (end == std::string_view::npos) return Error("unterminated comment");
-        parent->AppendChild(
-            Node::NewComment(std::string(in_.substr(pos_ + 4, end - pos_ - 4))));
-        pos_ = end + 3;
-        continue;
-      }
-      if (Lookahead("<![CDATA[")) {
-        size_t end = in_.find("]]>", pos_ + 9);
-        if (end == std::string_view::npos) return Error("unterminated CDATA");
-        text.append(in_.substr(pos_ + 9, end - pos_ - 9));
-        pos_ = end + 3;
-        continue;
-      }
-      if (Lookahead("<?")) {
-        flush_text();
-        XRPC_RETURN_IF_ERROR(ParsePi(parent));
-        continue;
-      }
-      if (Peek() == '<') {
-        flush_text();
-        XRPC_RETURN_IF_ERROR(ParseElement(parent));
-        if (top_level) SkipMisc();
-        continue;
-      }
-      if (top_level) {
-        return Error("text content outside the document element");
-      }
-      XRPC_RETURN_IF_ERROR(AppendCharData(&text));
-    }
-    flush_text();
-    return Status::OK();
-  }
-
-  Status ParsePi(Node* parent) {
-    pos_ += 2;
-    std::string target;
-    XRPC_RETURN_IF_ERROR(ParseName(&target));
-    SkipWs();
-    size_t end = in_.find("?>", pos_);
-    if (end == std::string_view::npos) return Error("unterminated PI");
-    parent->AppendChild(Node::NewProcessingInstruction(
-        std::move(target), std::string(in_.substr(pos_, end - pos_))));
-    pos_ = end + 2;
-    return Status::OK();
-  }
-
-  Status AppendCharData(std::string* out) {
-    while (!Eof() && Peek() != '<') {
-      char c = in_[pos_];
-      if (c == '&') {
-        XRPC_RETURN_IF_ERROR(ParseReference(out));
-      } else {
-        out->push_back(c);
-        ++pos_;
-      }
-    }
-    return Status::OK();
-  }
-
-  Status ParseReference(std::string* out) {
-    // pos_ is at '&'.
-    size_t end = in_.find(';', pos_);
-    if (end == std::string_view::npos || end - pos_ > 12) {
-      return Error("malformed entity reference");
-    }
-    std::string_view name = in_.substr(pos_ + 1, end - pos_ - 1);
-    pos_ = end + 1;
-    if (name == "lt") {
-      out->push_back('<');
-    } else if (name == "gt") {
-      out->push_back('>');
-    } else if (name == "amp") {
-      out->push_back('&');
-    } else if (name == "quot") {
-      out->push_back('"');
-    } else if (name == "apos") {
-      out->push_back('\'');
-    } else if (!name.empty() && name[0] == '#') {
-      uint32_t cp = 0;
-      bool ok = name.size() > 1;
-      if (name.size() > 2 && (name[1] == 'x' || name[1] == 'X')) {
-        for (size_t i = 2; i < name.size() && ok; ++i) {
-          char c = name[i];
-          uint32_t d;
-          if (c >= '0' && c <= '9') {
-            d = static_cast<uint32_t>(c - '0');
-          } else if (c >= 'a' && c <= 'f') {
-            d = static_cast<uint32_t>(c - 'a' + 10);
-          } else if (c >= 'A' && c <= 'F') {
-            d = static_cast<uint32_t>(c - 'A' + 10);
-          } else {
-            ok = false;
-            break;
-          }
-          cp = cp * 16 + d;
-        }
-      } else {
-        for (size_t i = 1; i < name.size() && ok; ++i) {
-          if (name[i] < '0' || name[i] > '9') {
-            ok = false;
-            break;
-          }
-          cp = cp * 10 + static_cast<uint32_t>(name[i] - '0');
-        }
-      }
-      if (!ok || cp == 0 || cp > 0x10FFFF) {
-        return Error("invalid character reference");
-      }
-      AppendUtf8(cp, out);
-    } else {
-      return Error("unknown entity &" + std::string(name) + ";");
-    }
-    return Status::OK();
-  }
-
-  static void AppendUtf8(uint32_t cp, std::string* out) {
-    if (cp < 0x80) {
-      out->push_back(static_cast<char>(cp));
-    } else if (cp < 0x800) {
-      out->push_back(static_cast<char>(0xC0 | (cp >> 6)));
-      out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-    } else if (cp < 0x10000) {
-      out->push_back(static_cast<char>(0xE0 | (cp >> 12)));
-      out->push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
-      out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-    } else {
-      out->push_back(static_cast<char>(0xF0 | (cp >> 18)));
-      out->push_back(static_cast<char>(0x80 | ((cp >> 12) & 0x3F)));
-      out->push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
-      out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-    }
-  }
-
-  Status ParseName(std::string* out) {
-    if (Eof() || !IsNameStartChar(Peek())) return Error("expected a name");
-    size_t start = pos_;
-    while (!Eof() && IsNameChar(Peek())) ++pos_;
-    out->assign(in_.substr(start, pos_ - start));
-    return Status::OK();
-  }
-
-  // Resolves prefix in the current scope stack. Empty prefix resolves to the
-  // default namespace (which may be "").
-  StatusOr<std::string> ResolvePrefix(const std::string& prefix) {
-    for (auto it = scopes_.rbegin(); it != scopes_.rend(); ++it) {
-      for (auto b = it->rbegin(); b != it->rend(); ++b) {
-        if (b->first == prefix) return b->second;
-      }
-    }
-    if (prefix.empty()) return std::string();
-    return Status::ParseError("undeclared namespace prefix: " + prefix);
-  }
-
-  Status ParseElement(Node* parent) {
-    ++pos_;  // '<'
-    std::string raw_name;
-    XRPC_RETURN_IF_ERROR(ParseName(&raw_name));
-
-    struct RawAttr {
-      std::string name;
-      std::string value;
-    };
-    std::vector<RawAttr> raw_attrs;
-    NsBindings bindings;
-
-    bool self_closing = false;
-    while (true) {
-      SkipWs();
-      if (Consume("/>")) {
-        self_closing = true;
-        break;
-      }
-      if (Consume(">")) break;
-      if (Eof()) return Error("unterminated start tag");
-      if (Lookahead("/")) return Error("malformed empty-element tag");
-      RawAttr attr;
-      XRPC_RETURN_IF_ERROR(ParseName(&attr.name));
-      SkipWs();
-      if (!Consume("=")) return Error("expected '=' in attribute");
-      SkipWs();
-      char quote = Peek();
-      if (quote != '"' && quote != '\'') {
-        return Error("expected quoted attribute value");
-      }
-      ++pos_;
-      while (!Eof() && Peek() != quote) {
-        if (Peek() == '&') {
-          XRPC_RETURN_IF_ERROR(ParseReference(&attr.value));
-        } else if (Peek() == '<') {
-          return Error("'<' in attribute value");
-        } else {
-          attr.value.push_back(in_[pos_++]);
-        }
-      }
-      if (!Consume(std::string_view(&quote, 1))) {
-        return Error("unterminated attribute value");
-      }
-      if (attr.name == "xmlns") {
-        bindings.emplace_back("", attr.value);
-      } else if (StartsWith(attr.name, "xmlns:")) {
-        bindings.emplace_back(attr.name.substr(6), attr.value);
-      } else {
-        raw_attrs.push_back(std::move(attr));
-      }
-    }
-
-    scopes_.push_back(std::move(bindings));
-
-    auto split = [](const std::string& raw) {
-      size_t colon = raw.find(':');
-      if (colon == std::string::npos) {
-        return std::pair<std::string, std::string>("", raw);
-      }
-      return std::pair<std::string, std::string>(raw.substr(0, colon),
-                                                 raw.substr(colon + 1));
-    };
-
-    auto [eprefix, elocal] = split(raw_name);
-    XRPC_ASSIGN_OR_RETURN(std::string euri, ResolvePrefix(eprefix));
-    NodePtr elem = Node::NewElement(QName(euri, elocal, eprefix));
-
-    for (RawAttr& a : raw_attrs) {
-      auto [aprefix, alocal] = split(a.name);
-      std::string auri;
-      if (!aprefix.empty()) {
-        // Unprefixed attributes are in no namespace per XML Namespaces.
-        XRPC_ASSIGN_OR_RETURN(auri, ResolvePrefix(aprefix));
-      }
-      if (elem->FindAttribute(QName(auri, alocal)) != nullptr) {
-        return Error("duplicate attribute " + a.name);
-      }
-      elem->SetAttribute(Node::NewAttribute(QName(auri, alocal, aprefix),
-                                            std::move(a.value)));
-    }
-
-    if (!self_closing) {
-      XRPC_RETURN_IF_ERROR(ParseContent(elem.get(), /*top_level=*/false));
-      if (!Consume("</")) return Error("expected end tag for " + raw_name);
-      std::string end_name;
-      XRPC_RETURN_IF_ERROR(ParseName(&end_name));
-      SkipWs();
-      if (!Consume(">")) return Error("malformed end tag");
-      if (end_name != raw_name) {
-        return Error("mismatched end tag </" + end_name + ">, expected </" +
-                     raw_name + ">");
-      }
-    }
-
-    scopes_.pop_back();
-    parent->AppendChild(std::move(elem));
-    return Status::OK();
-  }
-
-  std::string_view in_;
-  size_t pos_ = 0;
-  ParseOptions options_;
-  std::vector<NsBindings> scopes_;
-};
 
 }  // namespace
 
-StatusOr<NodePtr> ParseXml(std::string_view input, const ParseOptions& options) {
-  Parser p(input, options);
-  return p.ParseDocument();
+Status ReadContent(XmlReader& reader, Node* parent) {
+  // Elements under construction stay detached until their end tag, so each
+  // append touches one level, and a tree is built bottom-up as a
+  // recursive-descent parser would build it.
+  std::vector<NodePtr> open;
+  while (true) {
+    XRPC_ASSIGN_OR_RETURN(XmlReader::Token token, reader.Next());
+    Node* into = open.empty() ? parent : open.back().get();
+    switch (token) {
+      case XmlReader::Token::kStartElement:
+        open.push_back(NewElement(reader));
+        break;
+      case XmlReader::Token::kEndElement: {
+        if (open.empty()) return Status::OK();
+        NodePtr done = std::move(open.back());
+        open.pop_back();
+        (open.empty() ? parent : open.back().get())
+            ->AppendChild(std::move(done));
+        break;
+      }
+      case XmlReader::Token::kText:
+        into->AppendChild(Node::NewText(std::string(reader.text())));
+        break;
+      case XmlReader::Token::kComment:
+        into->AppendChild(Node::NewComment(std::string(reader.text())));
+        break;
+      case XmlReader::Token::kProcessingInstruction:
+        into->AppendChild(Node::NewProcessingInstruction(
+            std::string(reader.target()), std::string(reader.text())));
+        break;
+      case XmlReader::Token::kEnd:
+        return Status::OK();
+    }
+  }
 }
 
-StatusOr<NodePtr> ParseXmlFragment(std::string_view input,
-                                   const ParseOptions& options) {
-  Parser p(input, options);
-  return p.ParseFragment();
+StatusOr<NodePtr> ReadElement(XmlReader& reader) {
+  NodePtr elem = NewElement(reader);
+  XRPC_RETURN_IF_ERROR(ReadContent(reader, elem.get()));
+  return elem;
+}
+
+StatusOr<NodePtr> ParseXml(std::string_view input) {
+  XmlReader reader(input, XmlReader::Mode::kDocument);
+  NodePtr doc = Node::NewDocument();
+  XRPC_RETURN_IF_ERROR(ReadContent(reader, doc.get()));
+  return doc;
+}
+
+StatusOr<NodePtr> ParseXmlFragment(std::string_view input) {
+  XmlReader reader(input, XmlReader::Mode::kFragment);
+  NodePtr doc = Node::NewDocument();
+  XRPC_RETURN_IF_ERROR(ReadContent(reader, doc.get()));
+  return doc;
 }
 
 }  // namespace xrpc::xml

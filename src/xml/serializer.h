@@ -1,8 +1,11 @@
 #ifndef XRPC_XML_SERIALIZER_H_
 #define XRPC_XML_SERIALIZER_H_
 
+#include <deque>
+#include <initializer_list>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "xml/node.h"
 
@@ -25,11 +28,61 @@ struct SerializeOptions {
 /// possible and fresh `nsN` prefixes are generated otherwise.
 std::string SerializeNode(const Node& node, const SerializeOptions& options = {});
 
-/// Escapes text content (&, <, >).
-std::string EscapeText(std::string_view s);
+/// Appends nodes to a caller-owned buffer, as they would be serialized
+/// inside an element whose namespace bindings are `in_scope`.
+///
+/// The generated-prefix counter (`nsN`) lives as long as the writer, so a
+/// caller that writes the framing of a message as text and its nodes
+/// through one NodeWriter gets exactly the bytes SerializeNode would give
+/// for the whole message tree. Nodes written must outlive the writer.
+class NodeWriter {
+ public:
+  /// A prefix -> URI binding; the strings must outlive the writer.
+  struct Binding {
+    std::string_view prefix;
+    std::string_view uri;
+  };
 
-/// Escapes an attribute value (&, <, ", and newlines/tabs as char refs).
-std::string EscapeAttribute(std::string_view s);
+  /// `in_scope` lists the bindings around the insertion point, outermost
+  /// first; the reserved `xml` prefix is always bound.
+  NodeWriter(std::string* out, std::initializer_list<Binding> in_scope,
+             bool indent = false);
+
+  /// Appends `node` and its subtree.
+  void Write(const Node& node) { Emit(node, 0); }
+
+  /// Appends ` name="value"` for the attribute node `attr`, as the only
+  /// attribute of an empty element whose start tag is being written,
+  /// preceded by the namespace declaration it needs.
+  void WriteAttribute(const Node& attr);
+
+  std::string& out() { return *out_; }
+
+ private:
+  const std::string_view* LookupPrefix(std::string_view prefix) const;
+  const std::string_view* LookupUri(std::string_view uri,
+                                    bool allow_default) const;
+  std::string_view PrefixFor(const QName& name, bool is_attribute,
+                             size_t* decls);
+  void AppendDeclarations(size_t first);
+  void AppendName(std::string_view prefix, std::string_view local);
+  void Indent(int depth);
+  void Emit(const Node& node, int depth);
+
+  std::string* out_;
+  bool indent_;
+  std::vector<Binding> scope_;
+  /// Storage of generated prefixes, which scope_ views.
+  std::deque<std::string> generated_;
+  int gen_ = 1;
+};
+
+/// Appends `s` escaped as text content (&, <, >, CR).
+void AppendEscapedText(std::string_view s, std::string* out);
+
+/// Appends `s` escaped as an attribute value (&, <, ", and CR, LF and tab
+/// as character references).
+void AppendEscapedAttribute(std::string_view s, std::string* out);
 
 }  // namespace xrpc::xml
 

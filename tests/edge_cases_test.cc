@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/peer_network.h"
-#include "soap/marshal.h"
+#include "soap/message.h"
 #include "tests/test_util.h"
 #include "wrapper/wrapper_engine.h"
 #include "xmark/xmark.h"
@@ -19,21 +19,37 @@ using ::xrpc::testing::MapDocumentProvider;
 
 // ---- SOAP / marshaling corner cases ----
 
+// One parameter sequence through a request envelope and back.
+StatusOr<xdm::Sequence> ParamRoundTrip(const xdm::Sequence& seq) {
+  soap::XrpcRequest req;
+  req.module_ns = "m";
+  req.method = "f";
+  req.arity = 1;
+  req.calls.push_back({seq});
+  XRPC_ASSIGN_OR_RETURN(soap::XrpcRequest back,
+                        soap::ParseRequest(soap::SerializeRequest(req)));
+  return std::move(back.calls[0][0]);
+}
+
 TEST(EdgeCases, EmptySequenceMarshalsToEmptyElement) {
-  auto node = soap::SequenceToNode({});
-  auto back = soap::NodeToSequence(*node);
+  soap::XrpcRequest req;
+  req.arity = 1;
+  req.calls.push_back({xdm::Sequence{}});
+  EXPECT_NE(soap::SerializeRequest(req).find("<xrpc:sequence/>"),
+            std::string::npos);
+  auto back = ParamRoundTrip({});
   ASSERT_TRUE(back.ok());
   EXPECT_TRUE(back->empty());
 }
 
 TEST(EdgeCases, WhitespaceOnlyStringSurvivesTheWire) {
-  xdm::Sequence seq{xdm::Item(xdm::AtomicValue::String("  a  b  "))};
-  std::string wire = xml::SerializeNode(*soap::SequenceToNode(seq));
-  auto doc = xml::ParseXml(wire);
-  ASSERT_TRUE(doc.ok());
-  auto back = soap::NodeToSequence(*doc.value()->children()[0]);
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back.value()[0].atomic().ToString(), "  a  b  ");
+  for (const char* value : {"  a  b  ", "  ", " ", "\n\t"}) {
+    xdm::Sequence seq{xdm::Item(xdm::AtomicValue::String(value))};
+    auto back = ParamRoundTrip(seq);
+    ASSERT_TRUE(back.ok()) << back.status();
+    ASSERT_EQ(back->size(), 1u);
+    EXPECT_EQ(back.value()[0].atomic().ToString(), value);
+  }
 }
 
 TEST(EdgeCases, DeeplyNestedElementParameter) {
@@ -45,7 +61,7 @@ TEST(EdgeCases, DeeplyNestedElementParameter) {
   auto doc = xml::ParseXml(xml_text);
   ASSERT_TRUE(doc.ok());
   xdm::Sequence seq{xdm::Item::Node(doc.value()->children()[0])};
-  auto back = soap::NodeToSequence(*soap::SequenceToNode(seq));
+  auto back = ParamRoundTrip(seq);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back.value()[0].node()->StringValue(), "x");
 }
@@ -208,6 +224,30 @@ TEST_F(EdgeNetworkTest, WrapperHandlesItemStarSignatures) {
   ASSERT_EQ(report->result.size(), 4u);
   EXPECT_EQ(report->result[0].atomic().type(), xdm::AtomicType::kInteger);
   EXPECT_EQ(report->result[3].atomic().type(), xdm::AtomicType::kBoolean);
+}
+
+TEST_F(EdgeNetworkTest, WhitespaceOnlyParametersEchoOnEveryEngine) {
+  // Whitespace-only data crosses two envelopes (request and response)
+  // unchanged, whichever engine serves the call.
+  for (auto [name, kind] :
+       {std::pair<const char*, core::EngineKind>{"wr", core::EngineKind::kRelational},
+        {"wi", core::EngineKind::kInterpreter}}) {
+    core::Peer* p = net_.AddPeer(name, kind);
+    ASSERT_TRUE(p->RegisterModule(xmark::TestModuleSource(), "test.xq").ok());
+    auto report = net_.Execute("p0", std::string(R"(
+        import module namespace t="test" at "test.xq";
+        let $r := execute at {"xrpc://)") + name + R"("} {t:echo("  ")}
+        return (string-length($r), $r))");
+    ASSERT_TRUE(report.ok()) << name << ": " << report.status();
+    ASSERT_EQ(report->result.size(), 2u) << name;
+    EXPECT_EQ(report->result[0].atomic().AsInteger(), 2) << name;
+    EXPECT_EQ(report->result[1].atomic().ToString(), "  ") << name;
+    auto text = net_.Execute("p0", std::string(R"(
+        import module namespace t="test" at "test.xq";
+        string-length(execute at {"xrpc://)") + name + R"("} {t:echo(text {" "})}))");
+    ASSERT_TRUE(text.ok()) << name << ": " << text.status();
+    EXPECT_EQ(xdm::SequenceToString(text->result), "1") << name;
+  }
 }
 
 TEST_F(EdgeNetworkTest, MixedEnginePeersAgree) {

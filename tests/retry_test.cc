@@ -14,6 +14,7 @@
 #include "server/xrpc_service.h"
 #include "soap/message.h"
 #include "xmark/xmark.h"
+#include "xml/parser.h"
 
 namespace xrpc {
 namespace {
@@ -110,6 +111,55 @@ TEST(RetryingTransport, UpdatingEnvelopeIsNeverRetransmitted) {
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(inner.attempts.size(), 1u) << "updating call was retransmitted";
   EXPECT_EQ(metrics.retries(), 0);
+}
+
+TEST(RetryingTransport, SniffersReadTheEnvelopeHeadNotParameters) {
+  // Parameters are data: an element parameter spelling an xrpc:deadline
+  // header and a string parameter spelling updCall="true" must not turn
+  // into a 5us budget or an updating call.
+  auto param = xml::ParseXmlFragment(
+      "<xrpc:deadline xmlns:xrpc=\"http://monetdb.cwi.nl/XQuery\">5"
+      "</xrpc:deadline>");
+  ASSERT_TRUE(param.ok()) << param.status();
+  soap::XrpcRequest request;
+  request.module_ns = "m";
+  request.method = "f";
+  request.arity = 2;
+  request.calls.push_back(
+      {xdm::Sequence{xdm::Item::Node(param.value())},
+       xdm::Sequence{xdm::Item(xdm::AtomicValue::String("updCall=\"true\""))}});
+  std::string body = soap::SerializeRequest(request);
+  ASSERT_NE(body.find("<xrpc:deadline>5</xrpc:deadline>"), std::string::npos);
+  ASSERT_NE(body.find("updCall=\"true\""), std::string::npos);
+  EXPECT_EQ(RetryingTransport::ExtractDeadlineMicros(body), std::nullopt);
+  EXPECT_FALSE(RetryingTransport::IsUpdatingEnvelope(body));
+
+  // The real header and attribute are still found, also behind a quoted
+  // '>' in an earlier attribute of the request tag.
+  request.deadline_us = 1'000'000;
+  request.updating = true;
+  request.module_ns = "urn:a>b";
+  body = soap::SerializeRequest(request);
+  EXPECT_EQ(RetryingTransport::ExtractDeadlineMicros(body), 1'000'000);
+  EXPECT_TRUE(RetryingTransport::IsUpdatingEnvelope(body));
+}
+
+TEST(RetryingTransport, ReadOnlyCallWithUpdCallTextIsStillRetried) {
+  FlakyTransport inner;
+  inner.failures_remaining = 1;
+  RetryPolicy policy;
+  policy.max_attempts = 3;
+  policy.initial_backoff_us = 0;
+  RetryingTransport transport(&inner, policy, nullptr, [](int64_t) {});
+  soap::XrpcRequest request;
+  request.module_ns = "m";
+  request.method = "f";
+  request.arity = 1;
+  request.calls.push_back(
+      {xdm::Sequence{xdm::Item(xdm::AtomicValue::String("updCall='true'"))}});
+  auto result = transport.Post("xrpc://p", soap::SerializeRequest(request));
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(inner.attempts.size(), 2u);
 }
 
 TEST(RetryingTransport, NonTransientErrorsAreNotRetried) {

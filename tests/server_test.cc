@@ -147,6 +147,30 @@ TEST_F(ServerTest, UnknownFunctionYieldsSoapFault) {
   EXPECT_EQ(result.status().code(), StatusCode::kSoapFault);
 }
 
+TEST_F(ServerTest, DeeplyNestedRequestIsASenderFault) {
+  // A peer that can POST must not crash this one: ten thousand nested
+  // elements inside a parameter come back as a SOAP Sender fault.
+  soap::XrpcRequest req;
+  req.module_ns = "films";
+  req.method = "filmsByActor";
+  req.arity = 1;
+  req.calls.push_back({Sequence{Item::Node(xml::Node::NewElement(xml::QName("n")))}});
+  std::string body = soap::SerializeRequest(req);
+  std::string deep;
+  for (int i = 0; i < 10000; ++i) deep += "<n>";
+  for (int i = 0; i < 10000; ++i) deep += "</n>";
+  const size_t pos = body.find("<n/>");
+  ASSERT_NE(pos, std::string::npos);
+  body.replace(pos, 4, deep);
+  auto reply = peer_.service().Handle("/xrpc", body);
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  auto parsed = soap::ParseResponse(*reply);
+  ASSERT_EQ(parsed.status().code(), StatusCode::kSoapFault);
+  EXPECT_NE(parsed.status().message().find("env:Sender"), std::string::npos)
+      << parsed.status();
+  EXPECT_NE(parsed.status().message().find("nested deeper"), std::string::npos);
+}
+
 TEST_F(ServerTest, IsolationNoneSeesLatestState) {
   // Rule RFr: each request sees the current database state.
   RpcClient client(&net_, {});

@@ -1,12 +1,17 @@
 // Tests for the SOAP XRPC codec: s2n/n2s marshaling (including the
 // call-by-value fragment-isolation guarantees), request/response/fault
-// envelopes, Bulk RPC and the queryID isolation extension.
+// envelopes, Bulk RPC and the queryID isolation extension, the golden wire
+// bytes, and the decoder's answers to malformed and hostile envelopes.
 
 #include <gtest/gtest.h>
 
-#include "soap/marshal.h"
+#include <fstream>
+#include <sstream>
+
 #include "soap/message.h"
+#include "tests/soap_golden_cases.h"
 #include "xml/parser.h"
+#include "xml/reader.h"
 #include "xml/serializer.h"
 
 namespace xrpc::xdm {
@@ -25,6 +30,24 @@ using xdm::AtomicValue;
 using xdm::Item;
 using xdm::Sequence;
 
+// s2n() as it reaches the wire: `sequence` as the one result of a response.
+std::string Wire(const Sequence& sequence) {
+  XrpcResponse resp;
+  resp.module_ns = "m";
+  resp.method = "f";
+  resp.results.push_back(sequence);
+  return SerializeResponse(resp);
+}
+
+// s2n -> wire -> n2s.
+StatusOr<Sequence> RoundTrip(const Sequence& sequence) {
+  XRPC_ASSIGN_OR_RETURN(XrpcResponse back, ParseResponse(Wire(sequence)));
+  if (back.results.size() != 1) {
+    return Status::Internal("expected one result sequence");
+  }
+  return std::move(back.results[0]);
+}
+
 Sequence MixedSequence() {
   Sequence seq;
   seq.push_back(Item(AtomicValue::Integer(2)));
@@ -38,7 +61,7 @@ Sequence MixedSequence() {
 
 TEST(Marshal, AtomicValuesCarryXsiType) {
   Sequence seq{Item(AtomicValue::Integer(2)), Item(AtomicValue::Double(3.1))};
-  std::string xml_text = xml::SerializeNode(*SequenceToNode(seq));
+  std::string xml_text = Wire(seq);
   EXPECT_NE(xml_text.find("xsi:type=\"xs:integer\""), std::string::npos);
   EXPECT_NE(xml_text.find("xsi:type=\"xs:double\""), std::string::npos);
   EXPECT_NE(xml_text.find(">2<"), std::string::npos);
@@ -47,12 +70,7 @@ TEST(Marshal, AtomicValuesCarryXsiType) {
 
 TEST(Marshal, RoundTripsMixedSequence) {
   Sequence seq = MixedSequence();
-  xml::NodePtr node = SequenceToNode(seq);
-  // Simulate the wire: serialize and reparse.
-  std::string text = xml::SerializeNode(*node);
-  auto reparsed = xml::ParseXml(text);
-  ASSERT_TRUE(reparsed.ok()) << reparsed.status();
-  auto back = NodeToSequence(*reparsed.value()->children()[0]);
+  auto back = RoundTrip(seq);
   ASSERT_TRUE(back.ok()) << back.status();
   const Sequence& out = back.value();
   ASSERT_EQ(out.size(), seq.size());
@@ -76,7 +94,7 @@ TEST(Marshal, AllNodeKindsRoundTrip) {
   seq.push_back(
       Item::Node(xml::Node::NewProcessingInstruction("tgt", "data")));
 
-  auto back = NodeToSequence(*SequenceToNode(seq));
+  auto back = RoundTrip(seq);
   ASSERT_TRUE(back.ok()) << back.status();
   const Sequence& out = back.value();
   ASSERT_EQ(out.size(), 5u);
@@ -98,7 +116,7 @@ TEST(Marshal, CallByValueIsolatesFragments) {
   auto doc = xml::ParseXml("<parent><child>v</child></parent>");
   xml::Node* child = doc.value()->children()[0]->children()[0].get();
   Sequence seq{Item::NodeInTree(child, doc.value())};
-  auto back = NodeToSequence(*SequenceToNode(seq));
+  auto back = RoundTrip(seq);
   ASSERT_TRUE(back.ok());
   const xml::Node* unmarshaled = back.value()[0].node();
   EXPECT_EQ(unmarshaled->name().local, "child");
@@ -114,7 +132,7 @@ TEST(Marshal, AncestorRelationshipBetweenParamsIsDestroyed) {
   xml::Node* b = a->children()[0].get();
   Sequence seq{Item::NodeInTree(a, doc.value()),
                Item::NodeInTree(b, doc.value())};
-  auto back = NodeToSequence(*SequenceToNode(seq));
+  auto back = RoundTrip(seq);
   ASSERT_TRUE(back.ok());
   EXPECT_FALSE(
       xml::IsAncestorOf(back.value()[0].node(), back.value()[1].node()));
@@ -373,10 +391,7 @@ class AtomicWireRoundTrip
 
 TEST_P(AtomicWireRoundTrip, SurvivesSerializeParse) {
   Sequence seq{Item(GetParam())};
-  std::string wire = xml::SerializeNode(*SequenceToNode(seq));
-  auto reparsed = xml::ParseXml(wire);
-  ASSERT_TRUE(reparsed.ok());
-  auto back = NodeToSequence(*reparsed.value()->children()[0]);
+  auto back = RoundTrip(seq);
   ASSERT_TRUE(back.ok()) << back.status();
   ASSERT_EQ(back->size(), 1u);
   EXPECT_EQ(back.value()[0].atomic().type(), GetParam().type());
@@ -392,6 +407,264 @@ INSTANTIATE_TEST_SUITE_P(
                       AtomicValue::Decimal(1.25),
                       AtomicValue::Date("2007-09-23"),
                       AtomicValue::AnyUri("xrpc://y.example.org")));
+
+// ---------------------------------------------------------------------------
+// Whitespace: data inside values, framing between them
+
+namespace {
+Sequence WhitespaceData() {
+  auto doc = xml::ParseXml("<d> <e/> </d>");
+  auto doc_node = xml::Node::NewDocument();
+  doc_node->AppendChild(xml::Node::NewText(" "));
+  doc_node->AppendChild(xml::Node::NewElement(xml::QName("r")));
+  return Sequence{Item(AtomicValue::String("  ")),
+                  Item(AtomicValue::String(" \n\t ")),
+                  Item::Node(xml::Node::NewText(" ")),
+                  Item::NodeInTree(doc.value()->children()[0].get(), doc.value()),
+                  Item::Node(doc_node)};
+}
+
+void ExpectWhitespaceData(const Sequence& out) {
+  ASSERT_EQ(out.size(), 5u);
+  EXPECT_EQ(out[0].atomic().ToString(), "  ");
+  EXPECT_EQ(out[1].atomic().ToString(), " \n\t ");
+  EXPECT_EQ(out[2].node()->kind(), xml::NodeKind::kText);
+  EXPECT_EQ(out[2].node()->value(), " ");
+  EXPECT_EQ(xml::SerializeNode(*out[3].node()), "<d> <e/> </d>");
+  EXPECT_EQ(out[4].node()->kind(), xml::NodeKind::kDocument);
+  EXPECT_EQ(xml::SerializeNode(*out[4].node()), " <r/>");
+}
+}  // namespace
+
+TEST(Message, WhitespaceOnlyDataSurvivesARequest) {
+  XrpcRequest req = MinimalRequest();
+  req.arity = 1;
+  req.calls = {{WhitespaceData()}};
+  auto back = ParseRequest(SerializeRequest(req));
+  ASSERT_TRUE(back.ok()) << back.status();
+  ASSERT_EQ(back->calls.size(), 1u);
+  ExpectWhitespaceData(back->calls[0][0]);
+}
+
+TEST(Message, WhitespaceOnlyDataSurvivesAResponse) {
+  auto back = RoundTrip(WhitespaceData());
+  ASSERT_TRUE(back.ok()) << back.status();
+  ExpectWhitespaceData(*back);
+}
+
+TEST(Message, IndentedFramingIsNotData) {
+  // A peer that pretty-prints its envelopes: the whitespace between
+  // framing elements is dropped, the whitespace inside a value is kept.
+  const std::string text = R"(<?xml version="1.0"?>
+<env:Envelope xmlns:env="http://www.w3.org/2003/05/soap-envelope"
+    xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance">
+  <env:Header>
+    <xrpc:deadline xmlns:xrpc="http://monetdb.cwi.nl/XQuery">7</xrpc:deadline>
+  </env:Header>
+  <env:Body>
+    <xrpc:request xmlns:xrpc="http://monetdb.cwi.nl/XQuery" module="m"
+        method="f" arity="2">
+      <xrpc:call>
+        <xrpc:sequence>
+          <xrpc:atomic-value xsi:type="xs:string">  </xrpc:atomic-value>
+          <!-- a comment between values -->
+          <xrpc:element> <a> <b/> </a> </xrpc:element>
+        </xrpc:sequence>
+        <xrpc:sequence/>
+      </xrpc:call>
+    </xrpc:request>
+  </env:Body>
+</env:Envelope>
+)";
+  auto back = ParseRequest(text);
+  ASSERT_TRUE(back.ok()) << back.status();
+  EXPECT_EQ(back->deadline_us, 7);
+  ASSERT_EQ(back->calls.size(), 1u);
+  ASSERT_EQ(back->calls[0].size(), 2u);
+  const Sequence& first = back->calls[0][0];
+  ASSERT_EQ(first.size(), 2u);
+  EXPECT_EQ(first[0].atomic().ToString(), "  ");
+  EXPECT_EQ(xml::SerializeNode(*first[1].node()), "<a> <b/> </a>");
+  EXPECT_TRUE(back->calls[0][1].empty());
+}
+
+// ---------------------------------------------------------------------------
+// Golden wire bytes (tests/golden/soap/)
+
+namespace {
+std::string ReadGolden(const std::string& name) {
+  std::ifstream in(std::string(XRPC_GOLDEN_DIR) + "/" + name + ".xml",
+                   std::ios::binary);
+  std::stringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+std::string Serialize(const golden::Case& c) {
+  if (const auto* req = std::get_if<XrpcRequest>(&c.message)) {
+    return SerializeRequest(*req);
+  }
+  if (const auto* resp = std::get_if<XrpcResponse>(&c.message)) {
+    return SerializeResponse(*resp);
+  }
+  return SerializeFault(std::get<Fault>(c.message));
+}
+}  // namespace
+
+TEST(SoapGolden, SerializationReproducesTheCapturedBytes) {
+  for (const golden::Case& c : golden::Cases()) {
+    const std::string expected = ReadGolden(c.name);
+    ASSERT_FALSE(expected.empty()) << "missing golden file for " << c.name;
+    EXPECT_EQ(Serialize(c), expected) << c.name;
+  }
+}
+
+TEST(SoapGolden, ParseThenSerializeIsTheIdentity) {
+  for (const golden::Case& c : golden::Cases()) {
+    const std::string wire = ReadGolden(c.name);
+    if (std::holds_alternative<XrpcRequest>(c.message)) {
+      auto back = ParseRequest(wire);
+      ASSERT_TRUE(back.ok()) << c.name << ": " << back.status();
+      EXPECT_EQ(SerializeRequest(*back), wire) << c.name;
+    } else if (std::holds_alternative<XrpcResponse>(c.message)) {
+      auto back = ParseResponse(wire);
+      ASSERT_TRUE(back.ok()) << c.name << ": " << back.status();
+      EXPECT_EQ(SerializeResponse(*back), wire) << c.name;
+    } else {
+      // A Fault parses to the Status it stands for; rebuilding the Fault
+      // from that Status reproduces the envelope.
+      const Fault& fault = std::get<Fault>(c.message);
+      auto back = ParseResponse(wire);
+      ASSERT_FALSE(back.ok());
+      EXPECT_EQ(back.status().code(), StatusCode::kSoapFault) << c.name;
+      EXPECT_EQ(back.status().message(), fault.code + ": " + fault.reason)
+          << c.name;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Decoder negatives: every malformed or hostile envelope is a Status.
+
+namespace {
+// A one-call request envelope whose single parameter is `sequence_body`
+// inside <xrpc:sequence>.
+std::string RequestWithSequence(const std::string& sequence_body,
+                                const std::string& arity = "1") {
+  return "<env:Envelope xmlns:env=\"http://www.w3.org/2003/05/soap-envelope\""
+         " xmlns:xsi=\"http://www.w3.org/2001/XMLSchema-instance\">"
+         "<env:Body><xrpc:request xmlns:xrpc=\"http://monetdb.cwi.nl/XQuery\""
+         " module=\"m\" method=\"f\" arity=\"" +
+         arity + "\"><xrpc:call><xrpc:sequence>" + sequence_body +
+         "</xrpc:sequence></xrpc:call></xrpc:request></env:Body>"
+         "</env:Envelope>";
+}
+
+std::string Nested(size_t depth) {
+  std::string out;
+  for (size_t i = 0; i < depth; ++i) out += "<n>";
+  out += "x";
+  for (size_t i = 0; i < depth; ++i) out += "</n>";
+  return out;
+}
+}  // namespace
+
+TEST(SoapNegative, WellFormedBaselineParses) {
+  auto ok = ParseRequest(RequestWithSequence(
+      "<xrpc:atomic-value xsi:type=\"xs:integer\">1</xrpc:atomic-value>"));
+  ASSERT_TRUE(ok.ok()) << ok.status();
+  EXPECT_EQ(ok->calls[0][0][0].atomic().AsInteger(), 1);
+}
+
+TEST(SoapNegative, MissingBodyIsAnError) {
+  const std::string text =
+      "<env:Envelope xmlns:env=\"http://www.w3.org/2003/05/soap-envelope\">"
+      "<env:Header/></env:Envelope>";
+  for (const Status& s : {ParseRequest(text).status(),
+                          ParseResponse(text).status()}) {
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(s.message().find("env:Body"), std::string::npos) << s;
+  }
+  auto empty = ParseRequest(
+      "<env:Envelope xmlns:env=\"http://www.w3.org/2003/05/soap-envelope\">"
+      "<env:Body> </env:Body></env:Envelope>");
+  EXPECT_EQ(empty.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(SoapNegative, ArityMismatchIsAnError) {
+  auto back = ParseRequest(RequestWithSequence("", "2"));
+  ASSERT_FALSE(back.ok());
+  EXPECT_EQ(back.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(back.status().message().find("expected arity 2"),
+            std::string::npos);
+}
+
+TEST(SoapNegative, UnknownXsiTypeIsAnError) {
+  auto back = ParseRequest(RequestWithSequence(
+      "<xrpc:atomic-value xsi:type=\"xs:bogus\">1</xrpc:atomic-value>"));
+  EXPECT_FALSE(back.ok());
+  auto uncastable = ParseRequest(RequestWithSequence(
+      "<xrpc:atomic-value xsi:type=\"xs:integer\">one</xrpc:atomic-value>"));
+  EXPECT_FALSE(uncastable.ok());
+}
+
+TEST(SoapNegative, UnknownValueKindIsAnError) {
+  auto back = ParseRequest(RequestWithSequence("<xrpc:bogus/>"));
+  ASSERT_FALSE(back.ok());
+  EXPECT_NE(back.status().message().find("unknown value kind xrpc:bogus"),
+            std::string::npos);
+  auto foreign = ParseRequest(RequestWithSequence("<x/>"));
+  ASSERT_FALSE(foreign.ok());
+  EXPECT_NE(foreign.status().message().find("unexpected element"),
+            std::string::npos);
+  EXPECT_FALSE(ParseRequest(RequestWithSequence("<xrpc:element/>")).ok());
+  EXPECT_FALSE(ParseRequest(RequestWithSequence("<xrpc:attribute/>")).ok());
+}
+
+TEST(SoapNegative, TruncationAnywhereIsAnError) {
+  // Every proper prefix of every golden envelope: cut mid-tag, mid-
+  // attribute, mid-reference and mid-text. None may parse, and none may
+  // pass a Fault off as the answer.
+  for (const golden::Case& c : golden::Cases()) {
+    const std::string wire = ReadGolden(c.name);
+    for (size_t len = 0; len < wire.size(); ++len) {
+      const std::string_view cut(wire.data(), len);
+      Status s = std::holds_alternative<XrpcRequest>(c.message)
+                     ? ParseRequest(cut).status()
+                     : ParseResponse(cut).status();
+      ASSERT_FALSE(s.ok()) << c.name << " cut at " << len;
+      ASSERT_NE(s.code(), StatusCode::kSoapFault) << c.name << " cut at " << len;
+    }
+  }
+}
+
+TEST(SoapNegative, TrailingGarbageIsAnError) {
+  const std::string wire = ReadGolden("request_bulk");
+  EXPECT_FALSE(ParseRequest(wire + "<").ok());
+  EXPECT_FALSE(ParseRequest(wire + "text").ok());
+  EXPECT_FALSE(ParseResponse(ReadGolden("fault") + "</x>").ok());
+}
+
+TEST(SoapNegative, DeepElementParameterIsAParseError) {
+  // Ten thousand levels inside xrpc:element once overflowed the stack of
+  // the recursive parser; now the nesting budget stops them.
+  auto deep = ParseRequest(
+      RequestWithSequence("<xrpc:element>" + Nested(10000) + "</xrpc:element>"));
+  ASSERT_FALSE(deep.ok());
+  EXPECT_EQ(deep.status().code(), StatusCode::kParseError);
+  EXPECT_NE(deep.status().message().find("nested deeper"), std::string::npos);
+  // The envelope takes six levels (Envelope, Body, request, call, sequence,
+  // element); data may use the rest of the budget.
+  const size_t room = xml::kMaxElementDepth - 6;
+  auto fits = ParseRequest(
+      RequestWithSequence("<xrpc:element>" + Nested(room) + "</xrpc:element>"));
+  ASSERT_TRUE(fits.ok()) << fits.status();
+  EXPECT_EQ(fits->calls[0][0][0].node()->StringValue(), "x");
+  auto over = ParseRequest(RequestWithSequence("<xrpc:element>" +
+                                               Nested(room + 1) +
+                                               "</xrpc:element>"));
+  EXPECT_EQ(over.status().code(), StatusCode::kParseError);
+}
 
 }  // namespace
 }  // namespace xrpc::soap

@@ -1,5 +1,5 @@
-// Unit tests for the XML substrate: parser, serializer, node tree,
-// document order and identity.
+// Unit tests for the XML substrate: pull reader, parser, serializer, node
+// tree, document order and identity.
 
 #include <gtest/gtest.h>
 
@@ -102,14 +102,6 @@ TEST(XmlParser, SkipsPrologAndDoctype) {
   EXPECT_EQ(doc.value()->children()[0]->name().local, "note");
 }
 
-TEST(XmlParser, StripIgnorableWhitespaceOption) {
-  ParseOptions opts;
-  opts.strip_ignorable_whitespace = true;
-  auto doc = ParseXml("<a>\n  <b/>\n  <c/>\n</a>", opts);
-  ASSERT_TRUE(doc.ok()) << doc.status();
-  EXPECT_EQ(doc.value()->children()[0]->children().size(), 2u);
-}
-
 TEST(XmlParser, PreservesMixedContentWhitespace) {
   auto doc = ParseXml("<a>x <b/> y</a>");
   ASSERT_TRUE(doc.ok()) << doc.status();
@@ -120,6 +112,101 @@ TEST(XmlParser, FragmentAllowsSiblings) {
   auto frag = ParseXmlFragment("<a/><b/>text");
   ASSERT_TRUE(frag.ok()) << frag.status();
   EXPECT_EQ(frag.value()->children().size(), 3u);
+}
+
+std::string Nested(size_t depth) {
+  std::string out;
+  for (size_t i = 0; i < depth; ++i) out += "<a>";
+  out += "x";
+  for (size_t i = 0; i < depth; ++i) out += "</a>";
+  return out;
+}
+
+TEST(XmlParser, DeepNestingIsAParseError) {
+  // Ten thousand levels once overflowed the recursive parser's stack.
+  auto doc = ParseXml(Nested(10000));
+  ASSERT_FALSE(doc.ok());
+  EXPECT_EQ(doc.status().code(), StatusCode::kParseError);
+  EXPECT_EQ(doc.status().message(),
+            "XML parse error at line 1: elements nested deeper than " +
+                std::to_string(kMaxElementDepth) + " levels");
+  EXPECT_FALSE(ParseXmlFragment(Nested(10000)).ok());
+}
+
+TEST(XmlParser, NestingUpToTheBudgetParses) {
+  auto doc = ParseXml(Nested(kMaxElementDepth));
+  ASSERT_TRUE(doc.ok()) << doc.status();
+  EXPECT_EQ(SerializeNode(*doc.value()), Nested(kMaxElementDepth));
+  EXPECT_EQ(ParseXml(Nested(kMaxElementDepth + 1)).status().code(),
+            StatusCode::kParseError);
+}
+
+TEST(XmlParser, ErrorsNameTheirLine) {
+  struct Case {
+    const char* input;
+    const char* message;
+  };
+  for (const Case& c : std::initializer_list<Case>{
+           {"<a>\n<b></a>", "XML parse error at line 2: mismatched end tag "
+                             "</a>, expected </b>"},
+           {"<a>\n\n", "XML parse error at line 3: expected end tag for a"},
+           {"<a x='1' x='2'/>", "XML parse error at line 1: duplicate "
+                                "attribute x"},
+           {"<p:a/>", "undeclared namespace prefix: p"},
+           {"<a>&bogus;</a>", "XML parse error at line 1: unknown entity "
+                              "&bogus;"},
+           {"", "XML parse error at line 1: no document element"},
+           {"<a/>\ntext", "XML parse error at line 2: text content outside "
+                           "the document element"},
+           {"<a/></b>", "XML parse error at line 1: unexpected content after "
+                        "document element"},
+           {"<a b=\"<\"/>", "XML parse error at line 1: '<' in attribute "
+                             "value"},
+       }) {
+    auto doc = ParseXml(c.input);
+    ASSERT_FALSE(doc.ok()) << c.input;
+    EXPECT_EQ(doc.status().message(), c.message) << c.input;
+  }
+}
+
+TEST(XmlReader, EventsOfAMixedFragment) {
+  XmlReader r("t&amp;<![CDATA[<c>]]>u<p:e xmlns:p=\"urn:p\" p:k=\"&lt;v\""
+              " k=\"w\"><!--c--><?pi d?></p:e>",
+              XmlReader::Mode::kFragment);
+  auto next = [&] { return r.Next().value(); };
+  ASSERT_EQ(next(), XmlReader::Token::kText);
+  EXPECT_EQ(r.text(), "t&<c>u");  // references and CDATA join one run
+  ASSERT_EQ(next(), XmlReader::Token::kStartElement);
+  EXPECT_TRUE(r.name().Is("urn:p", "e"));
+  EXPECT_EQ(r.name().prefix, "p");
+  EXPECT_EQ(r.depth(), 1u);
+  ASSERT_EQ(r.attributes().size(), 2u);  // the xmlns declaration is not one
+  ASSERT_NE(r.FindAttribute("urn:p", "k"), nullptr);
+  EXPECT_EQ(r.FindAttribute("urn:p", "k")->value, "<v");
+  EXPECT_EQ(r.FindAttribute("", "k")->value, "w");
+  ASSERT_EQ(next(), XmlReader::Token::kComment);
+  EXPECT_EQ(r.text(), "c");
+  ASSERT_EQ(next(), XmlReader::Token::kProcessingInstruction);
+  EXPECT_EQ(r.target(), "pi");
+  EXPECT_EQ(r.text(), "d");
+  ASSERT_EQ(next(), XmlReader::Token::kEndElement);
+  EXPECT_EQ(r.depth(), 0u);
+  EXPECT_EQ(next(), XmlReader::Token::kEnd);
+  EXPECT_EQ(next(), XmlReader::Token::kEnd);
+}
+
+TEST(XmlReader, SelfClosingTagIsStartThenEnd) {
+  XmlReader r("<a><b/>x</a>", XmlReader::Mode::kDocument);
+  EXPECT_EQ(r.Next().value(), XmlReader::Token::kStartElement);
+  EXPECT_EQ(r.Next().value(), XmlReader::Token::kStartElement);
+  EXPECT_EQ(r.name().local, "b");
+  EXPECT_EQ(r.depth(), 2u);
+  EXPECT_EQ(r.Next().value(), XmlReader::Token::kEndElement);
+  EXPECT_EQ(r.name().local, "b");
+  EXPECT_EQ(r.depth(), 1u);
+  EXPECT_EQ(r.Next().value(), XmlReader::Token::kText);
+  EXPECT_EQ(r.Next().value(), XmlReader::Token::kEndElement);
+  EXPECT_EQ(r.Next().value(), XmlReader::Token::kEnd);
 }
 
 TEST(XmlSerializer, RoundTripsDocument) {
@@ -224,7 +311,7 @@ TEST(XmlNode, InsertBeforeMaintainsOrder) {
 
 TEST(XmlSerializer, CdataEndMarkerInTextSurvivesRoundTrip) {
   // "]]>" must never appear literally in character data (XML 1.0 §2.4).
-  // EscapeText covers it by escaping every '>', so the marker serializes
+  // AppendEscapedText covers it by escaping every '>', so the marker serializes
   // as "]]&gt;" — pin that, and that a reparse restores the exact value.
   auto doc = ParseXml("<t>if (a]]&gt;b) { }</t>");
   ASSERT_TRUE(doc.ok()) << doc.status();
